@@ -465,17 +465,18 @@ def _run_divergence_check(cfg: RunConfig, path: str) -> dict:
         sol = solve_divergence(f, basis, m)
         worst_residual = max(worst_residual, sol.residual)
         worst_ratio = max(worst_ratio, max(sol.bound_ratios))
+    bounds_ok = bool(worst_ratio <= 50.0)
     _json_artifact(cfg, {
         "T": T,
         "n_rhs": v["n_rhs"],
         "worst_residual": worst_residual,
         "worst_bound_ratio": worst_ratio,
-        "bounds_ok": worst_ratio <= 50.0,
+        "bounds_ok": bounds_ok,
     }, path)
     return {
         "worst_residual": worst_residual,
         "worst_bound_ratio": worst_ratio,
-        "bounds_ok": worst_ratio <= 50.0,
+        "bounds_ok": bounds_ok,
     }
 
 

@@ -149,10 +149,12 @@ class OperatorMatrix:
 
     When ``is_generator`` is set the matrix must be Metzler (nonnegative
     off-diagonal entries) with zero row sums, i.e. the generator of a
-    Markov jump process on the measure's state enumeration.
+    Markov jump process on the measure's state enumeration.  The entries
+    are read-only, so ``spectral.decompose`` caches the operator's one
+    eigendecomposition in the ``_spectrum`` slot.
     """
 
-    __slots__ = ("dim", "entries", "reference_measure", "is_generator")
+    __slots__ = ("dim", "entries", "reference_measure", "is_generator", "_spectrum")
 
     def __init__(
         self,
@@ -180,6 +182,7 @@ class OperatorMatrix:
         self.entries = A
         self.reference_measure = reference_measure
         self.is_generator = is_generator
+        self._spectrum = None
         A.setflags(write=False)
 
     def apply(self, f: np.ndarray) -> np.ndarray:

@@ -12,7 +12,6 @@ the configuration hash.
 from __future__ import annotations
 
 import numpy as np
-import scipy.stats
 
 from . import __version__
 from .core import RngStream, make_grid, quadratic_potential
@@ -42,6 +41,7 @@ __all__ = [
     "gamma_study",
     "constants_report",
     "loglog_slope",
+    "spearman_rho",
 ]
 
 RTP_SCALING_HEADER = "omega,L,T,nu_hat,nu_sim,gap_collapse,upper_bound_ok"
@@ -61,6 +61,24 @@ def loglog_slope(xs, ys):
     var = float(resid @ resid) / dof
     cov = var * np.linalg.inv(A.T @ A)
     return float(coef[0]), float(np.sqrt(cov[0, 0]))
+
+
+def _average_ranks(x):
+    # ranks 1..n; a run of tied values shares the mean of its ranks
+    x = np.asarray(x, dtype=float)
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    new = np.r_[True, xs[1:] != xs[:-1]]
+    first = np.nonzero(new)[0]
+    last = np.r_[first[1:], x.size] - 1
+    ranks = np.empty(x.size)
+    ranks[order] = (0.5 * (first + last) + 1.0)[np.cumsum(new) - 1]
+    return ranks
+
+
+def spearman_rho(xs, ys) -> float:
+    """Spearman rank correlation, with tied values given average ranks."""
+    return float(np.corrcoef(_average_ranks(xs), _average_ranks(ys))[0, 1])
 
 
 def _windowed_nu(split, collapse, T_rule: str):
@@ -281,7 +299,7 @@ def gamma_study(
     nus = np.array([r["nu_hat"] for r in rows])
     preds = np.array([r["nu_formula"] for r in rows])
     best = int(np.argmax(nus))
-    rho = float(scipy.stats.spearmanr(nus, preds).correlation)
+    rho = spearman_rho(nus, preds)
     sqrt_m = float(np.sqrt(m / 2.0))  # collapse gap of U = m x^2/2 is m/2
     result = {
         "rows": rows,

@@ -181,6 +181,17 @@ class TestMainExitCodes:
         assert summary["metrics"]["worst_residual"] < 1e-8
         assert summary["metrics"]["bounds_ok"]
 
+    def test_divergence_check_r3_worst_serializes(self, capsys, tmp_path):
+        # at this seed r3 is the worst bound ratio; its comparison with the
+        # threshold once produced a numpy bool that json.dumps rejected
+        out = tmp_path / "div.json"
+        code = main(["divergence-check", "--n-interior", "40", "--n-rhs", "5",
+                     "--seed", "50", "--output", str(out)])
+        assert code == 0
+        summary = json.loads(capsys.readouterr().out.strip())
+        assert summary["metrics"]["bounds_ok"] is True
+        assert json.loads(out.read_text())["bounds_ok"] is True
+
     def test_flow_poincare_smoke(self, capsys, tmp_path):
         out = tmp_path / "flow.json"
         code = main(["flow-poincare", "--n-interior", "60", "--output", str(out)])

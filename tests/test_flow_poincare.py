@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from liftlab.core import inner_product
+from liftlab.core import inner_product, make_grid
 from liftlab.errors import CBelowOne, NotMeanZero, ZeroFunction
 from liftlab.flow_poincare import (
     best_nu,
@@ -14,7 +15,8 @@ from liftlab.flow_poincare import (
     lifting_upper_bound_check,
     pointwise_decay_bound,
 )
-from liftlab.spectral import Semigroup, decompose
+from liftlab.generators import RtpParams, rtp_generator, sticky_bm_generator
+from liftlab.spectral import Semigroup, decompose, spectral_gap
 
 
 class TestGaussLegendre:
@@ -102,6 +104,36 @@ class TestBestNu:
         lam = -sd.eigenvalues[1].real
         margin = decay_check(op, mu, v, 1.0, 2.5 * lam, np.linspace(0.0, 8.0, 9))
         assert margin < -1e-3
+
+
+class TestBlockFlowRatios:
+    # omega = 1 takes the eigen route; omega = 0.01 at 120 interior nodes
+    # takes the Pade route
+    @pytest.mark.parametrize("omega,n_interior,eigen_route", [(1.0, 40, True), (0.01, 120, False)])
+    def test_best_nu_matches_dense_expm(self, omega, n_interior, eigen_route):
+        grid = make_grid(1.0, n_interior)
+        split = rtp_generator(grid, RtpParams(omega=omega, length_L=1.0))
+        collapse, _ = sticky_bm_generator(grid, omega)
+        op, mu = split.full, split.full.reference_measure
+        T = spectral_gap(collapse) ** -0.5
+        sg = Semigroup(op)
+        assert sg._diagonalizable is eigen_route
+        probes = lifted_probe_family(split, collapse)
+        n_quad = 12
+        report = best_nu(op, mu, T, probes, n_quad=n_quad, semigroup=sg)
+        nodes, weights = gauss_legendre(0.0, T, n_quad)
+        F = np.column_stack(probes)
+        num = np.zeros(len(probes))
+        den = np.zeros(len(probes))
+        for t, w in zip(nodes, weights):
+            P = scipy.linalg.expm(op.entries * t) @ F
+            num -= w * (mu.weights @ (P * (op.entries @ P)))
+            den += w * (mu.weights @ (P * P))
+        ratios = num / den
+        assert report.nu_hat == pytest.approx(ratios.min(), rel=1e-12)
+        assert report.worst_probe_id == int(np.argmin(ratios))
+        single = flow_ratio(op, mu, probes[3], T, n_quad=n_quad, semigroup=sg)
+        assert single == pytest.approx(ratios[3], rel=1e-12)
 
 
 class TestLiftingUpperBound:

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from liftlab.core import OperatorMatrix, WeightedMeasure
+from liftlab.core import OperatorMatrix, WeightedMeasure, make_grid
 from liftlab.errors import DimensionMismatch, EigenFailure, OverflowGuard
+from liftlab.generators import RtpParams, rtp_generator
 from liftlab.spectral import (
     Semigroup,
     decompose,
@@ -79,6 +80,17 @@ class TestDecompose:
         assert is_self_adjoint(_ring_generator())
         assert not is_self_adjoint(_drift_generator())
 
+    @pytest.mark.parametrize("make", [_ring_generator, _drift_generator])
+    def test_cached_once_per_operator_and_read_only(self, make):
+        op = make()
+        sd = decompose(op)
+        assert decompose(op) is sd
+        assert spectral_gap(op) == sd.gap
+        for arr in (sd.eigenvalues, sd.eigenvectors):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
 
 class TestSemigroup:
     def test_identity_at_zero(self):
@@ -141,6 +153,46 @@ class TestSemigroup:
         op = _ring_generator()
         f = np.sin(np.arange(8.0))
         assert np.abs(semigroup_apply(op, f, 0.7) - Semigroup(op).apply(f, 0.7)).max() < 1e-9
+
+
+def _rtp_full(omega, n_interior):
+    grid = make_grid(1.0, n_interior)
+    return rtp_generator(grid, RtpParams(omega=omega, length_L=1.0)).full
+
+
+# omega = 1 takes the eigen route; omega = 0.01 at 120 interior nodes fails
+# the eigen-route validation and takes the Pade route
+ROUTES = [(1.0, 40, True), (0.01, 120, False)]
+
+
+class TestBlockPropagation:
+    @pytest.mark.parametrize("omega,n_interior,eigen_route", ROUTES)
+    def test_block_equals_columns(self, omega, n_interior, eigen_route):
+        op = _rtp_full(omega, n_interior)
+        sg = Semigroup(op)
+        assert sg._diagonalizable is eigen_route
+        rng = np.random.default_rng(3)
+        F = rng.normal(size=(op.dim, 5))
+        # t > 0: at t = 0 no mode is damped, and the eigen route's rounding
+        # is amplified by the condition number of V (~5e3 here)
+        ts = np.array([0.7, 0.05, 0.3, 2.0, 0.7])
+        block = sg.apply_many(F, ts)
+        assert block.shape == (ts.size, op.dim, 5)
+        cols = np.stack([sg.apply_many(F[:, j], ts) for j in range(5)], axis=-1)
+        assert np.abs(block - cols).max() <= 1e-13 * np.abs(cols).max()
+
+    def test_eigen_route_pinned_where_validation_is_skipped(self):
+        # at omega = 50 the zero eigenvalue's rounding noise exceeds the
+        # 1e-12 cutoff of the validation, which then runs at times beyond
+        # 1e6 / ||L|| and is skipped; pin the route against expm directly
+        op = _rtp_full(50.0, 200)
+        sg = Semigroup(op)
+        assert sg._diagonalizable
+        gap = decompose(op).gap
+        f = np.random.default_rng(4).normal(size=op.dim)
+        for t in (0.1 / gap, 2.0 / gap):
+            ref = scipy.linalg.expm(op.entries * t) @ f
+            assert np.abs(sg.apply(f, t) - ref).max() <= 1e-9 * np.abs(ref).max()
 
 
 class TestDirichletForm:

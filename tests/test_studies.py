@@ -11,6 +11,7 @@ from liftlab.studies import (
     gamma_study,
     loglog_slope,
     rtp_scaling_study,
+    spearman_rho,
 )
 
 
@@ -70,6 +71,26 @@ class TestRtpScalingStudy:
         )
         m = res["rows"][0]["gap_collapse"]
         assert res["rows"][0]["T"] == pytest.approx(m**-0.5)
+
+
+class TestSpearmanRho:
+    def test_matches_scipy_on_criterion_09_rows(self):
+        stats = pytest.importorskip("scipy.stats")
+        gammas = np.sqrt(0.5) * np.logspace(-1.0, 1.5, 11)
+        res = gamma_study("zigzag_1d_discrete", 1.0, gammas, n_grid=120)
+        nus = [r["nu_hat"] for r in res["rows"]]
+        preds = [r["nu_formula"] for r in res["rows"]]
+        rho = spearman_rho(nus, preds)
+        assert abs(rho - stats.spearmanr(nus, preds).statistic) <= 1e-12
+        assert res["spearman_rho"] == rho
+        assert rho == pytest.approx(-0.682, abs=5e-4)
+
+    def test_ties_get_average_ranks(self):
+        stats = pytest.importorskip("scipy.stats")
+        x = [3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5]
+        y = [2, 7, 1, 8, 2, 8, 1, 8, 2, 8, 4]
+        assert abs(spearman_rho(x, y) - stats.spearmanr(x, y).statistic) <= 1e-12
+        assert spearman_rho([1, 2, 2, 3], [10, 20, 20, 30]) == pytest.approx(1.0)
 
 
 class TestGammaStudy:

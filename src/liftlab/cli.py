@@ -21,9 +21,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .core import RngStream, make_grid, quadratic_potential
+from .core import RngStream, quadratic_potential
 from .divergence import build_harmonic_basis, random_rhs, solve_divergence
-from .errors import ConfigError, LiftlabError, MissingRequired, UnknownKey
+from .errors import ConfigError, LiftlabError
 from .flow_poincare import (
     best_nu,
     decay_check,
@@ -31,14 +31,7 @@ from .flow_poincare import (
     lifting_upper_bound_check,
     pointwise_decay_bound,
 )
-from .generators import (
-    RtpParams,
-    overdamped_generator_1d,
-    rtp_generator,
-    sticky_bm_generator,
-    velocity_kernel,
-    zigzag_generator_1d,
-)
+from .generators import RtpParams, rtp_model, velocity_kernel, zigzag_model
 from .io_utils import atomic_write_text, config_hash
 from .lift_check import (
     assumption_constants,
@@ -83,7 +76,6 @@ def _common_opts(**extra) -> dict:
     base = {
         "seed": _Opt(int, 42, help="random seed"),
         "output": _Opt(str, None, help="artifact path (default: output dir)"),
-        "threads": _Opt(int, None, positive=True, help="worker thread cap"),
     }
     base.update(extra)
     return base
@@ -165,7 +157,9 @@ class RunConfig:
 
     @property
     def hash(self) -> str:
-        return config_hash({"subcommand": self.subcommand, **self.values})
+        """Hash of the computation: every value except the artifact path."""
+        values = {k: v for k, v in self.values.items() if k != "output"}
+        return config_hash({"subcommand": self.subcommand, **values})
 
     def render(self) -> list:
         """Flag list that parses back to this config."""
@@ -179,9 +173,6 @@ class RunConfig:
             else:
                 args.extend([flag, str(val)])
         return args
-
-    def to_dict(self) -> dict:
-        return {"subcommand": self.subcommand, **self.values}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -250,8 +241,8 @@ def parse_config(argv=None) -> RunConfig:
     """Flags plus optional JSON file to a validated RunConfig.
 
     The file supplies defaults, flags override; keys outside the
-    subcommand's schema raise UnknownKey, absent required keys raise
-    MissingRequired, malformed values raise TypeError naming the key.
+    subcommand's schema and absent required keys raise ConfigError,
+    malformed values raise TypeError naming the key.
     """
     parser = _build_parser()
     ns = parser.parse_args(argv)
@@ -267,13 +258,13 @@ def parse_config(argv=None) -> RunConfig:
         for key, val in file_cfg.items():
             if key == "subcommand":
                 if val != ns.subcommand:
-                    raise UnknownKey(
+                    raise ConfigError(
                         f"config file is for subcommand {val!r}, "
                         f"not {ns.subcommand!r}"
                     )
                 continue
             if key not in schema:
-                raise UnknownKey(f"unknown config key {key!r}")
+                raise ConfigError(f"unknown config key {key!r}")
             merged[key] = _coerce(key, val, schema[key])
     for key, opt in schema.items():
         raw = getattr(ns, key)
@@ -282,12 +273,12 @@ def parse_config(argv=None) -> RunConfig:
     for key, opt in schema.items():
         if key not in merged:
             if opt.required:
-                raise MissingRequired(key)
+                raise ConfigError(f"missing required key {key!r}")
             merged[key] = opt.default
     # conditionally required keys (depend on the chosen process)
     if ns.subcommand == "simulate" and merged["process"] == "rtp":
         if merged["omega"] is None:
-            raise MissingRequired("omega")
+            raise ConfigError("missing required key 'omega'")
     if merged.get("T") is not None and str(merged["T"]) != "auto":
         try:
             tval = float(merged["T"])
@@ -308,10 +299,7 @@ def _artifact_path(cfg: RunConfig, suffix: str) -> str:
 def _auto_T(raw, collapse) -> float:
     if raw is None or str(raw) == "auto":
         return spectral_gap(collapse) ** -0.5
-    T = float(raw)
-    if T <= 0:
-        raise TypeError(f"T: {T!r} must be > 0")
-    return T
+    return float(raw)
 
 
 def _json_artifact(cfg: RunConfig, payload: dict, path: str):
@@ -341,18 +329,16 @@ def _run_simulate(cfg: RunConfig, path: str) -> dict:
     return {"n_events": len(traj.times), "t_end": traj.t_end}
 
 
+def _model(v: dict):
+    """(split, collapse, h) of the lift/collapse pair that ``v`` names."""
+    if v["process"] in ("rtp", "sticky-bm"):
+        return rtp_model(v["omega"], v["length"], v["n_interior"])
+    return zigzag_model(v["m"], v["gamma"], v["n_interior"])
+
+
 def _spectrum_operator(v: dict):
-    grid = make_grid(v["length"], v["n_interior"])
-    if v["process"] == "rtp":
-        return rtp_generator(grid, RtpParams(v["omega"], v["length"])).full
-    if v["process"] == "sticky-bm":
-        return sticky_bm_generator(grid, v["omega"])[0]
-    U = quadratic_potential([v["m"]])
-    width = 4.0 / np.sqrt(v["m"])
-    grid = make_grid(2.0 * width, v["n_interior"])
-    if v["process"] == "zigzag":
-        return zigzag_generator_1d(grid, U, v["gamma"], x_min=-width).full
-    return overdamped_generator_1d(grid, U, x_min=-width)[0]
+    split, collapse, _ = _model(v)
+    return split.full if v["process"] in ("rtp", "zigzag") else collapse
 
 
 def _run_spectrum(cfg: RunConfig, path: str) -> dict:
@@ -373,23 +359,9 @@ def _run_spectrum(cfg: RunConfig, path: str) -> dict:
     return {"gap": gap, "dim": op.dim}
 
 
-def _lift_pair(v: dict):
-    if v["process"] == "rtp":
-        grid = make_grid(v["length"], v["n_interior"])
-        split = rtp_generator(grid, RtpParams(v["omega"], v["length"]))
-        collapse, _ = sticky_bm_generator(grid, v["omega"])
-        return split, collapse, grid.h
-    U = quadratic_potential([v["m"]])
-    width = 4.0 / np.sqrt(v["m"])
-    grid = make_grid(2.0 * width, v["n_interior"])
-    split = zigzag_generator_1d(grid, U, v["gamma"], x_min=-width)
-    collapse, _ = overdamped_generator_1d(grid, U, x_min=-width)
-    return split, collapse, grid.h
-
-
 def _run_lift_check(cfg: RunConfig, path: str) -> dict:
     v = cfg.values
-    split, collapse, h = _lift_pair(v)
+    split, collapse, h = _model(v)
     probes = collapse_probes(collapse, seed=v["seed"])
     report = lift_report(split, collapse, probes, h)
     m = spectral_gap(collapse)
@@ -419,9 +391,7 @@ def _run_lift_check(cfg: RunConfig, path: str) -> dict:
 
 def _run_flow_poincare(cfg: RunConfig, path: str) -> dict:
     v = cfg.values
-    grid = make_grid(v["length"], v["n_interior"])
-    split = rtp_generator(grid, RtpParams(v["omega"], v["length"]))
-    collapse, _ = sticky_bm_generator(grid, v["omega"])
+    split, collapse, _ = rtp_model(v["omega"], v["length"], v["n_interior"])
     m = spectral_gap(collapse)
     T = _auto_T(v["T"], collapse)
     sg = Semigroup(split.full)
@@ -453,8 +423,7 @@ def _run_flow_poincare(cfg: RunConfig, path: str) -> dict:
 
 def _run_divergence_check(cfg: RunConfig, path: str) -> dict:
     v = cfg.values
-    grid = make_grid(v["length"], v["n_interior"])
-    collapse, _ = sticky_bm_generator(grid, v["omega"])
+    _, collapse, _ = rtp_model(v["omega"], v["length"], v["n_interior"])
     m = spectral_gap(collapse)
     T = _auto_T(v["T"], collapse)
     basis = build_harmonic_basis(collapse, T)
@@ -531,16 +500,8 @@ _RUNNERS = {
 }
 
 
-def _apply_thread_cap(threads):
-    if threads is None:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = str(threads)
-
-
 def run(config: RunConfig) -> int:
     """Execute one configured subcommand; returns the process exit code."""
-    _apply_thread_cap(config.values.get("threads"))
     runner, suffix = _RUNNERS[config.subcommand]
     path = _artifact_path(config, suffix)
     metrics = runner(config, path)

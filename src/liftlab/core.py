@@ -12,12 +12,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    InvalidParameter,
-    NonPositiveLength,
-    TooFewNodes,
-)
+from .errors import InvalidParameter
 
 __all__ = [
     "Grid1D",
@@ -50,9 +45,9 @@ class Grid1D:
 
     def __post_init__(self):
         if self.length_L <= 0:
-            raise NonPositiveLength(f"length_L={self.length_L} must be > 0")
+            raise InvalidParameter(f"length_L={self.length_L} must be > 0")
         if self.n_interior < 2:
-            raise TooFewNodes(f"n_interior={self.n_interior} must be >= 2")
+            raise InvalidParameter(f"n_interior={self.n_interior} must be >= 2")
         h = self.length_L / (self.n_interior + 1)
         nodes = np.linspace(0.0, self.length_L, self.n_interior + 2)
         object.__setattr__(self, "h", h)
@@ -90,7 +85,7 @@ class WeightedMeasure:
         atom = np.asarray(atom_weights, dtype=float)
         dens = np.asarray(density_weights, dtype=float)
         if len(states) != atom.size or atom.size != dens.size:
-            raise DimensionMismatch("states and weight arrays must have equal length")
+            raise InvalidParameter("states and weight arrays must have equal length")
         if (atom < -1e-15).any() or (dens < -1e-15).any():
             raise InvalidParameter("measure weights must be nonnegative")
         self.states = tuple(states)
@@ -121,24 +116,13 @@ class WeightedMeasure:
         w = self.weights
         return float(w @ np.asarray(f, dtype=float)) / self.total_mass
 
-    def index(self, state) -> int:
-        return self.states.index(state)
-
-    def to_dict(self) -> dict:
-        return {
-            "states": [list(s) if isinstance(s, tuple) else s for s in self.states],
-            "atom_weights": self.atom_weights.tolist(),
-            "density_weights": self.density_weights.tolist(),
-            "probability": self.probability,
-        }
-
 
 def inner_product(f: np.ndarray, g: np.ndarray, mu: WeightedMeasure) -> float:
     """Weighted L2 pairing sum_i f_i g_i w_i against the measure mu."""
     f = np.asarray(f, dtype=float)
     g = np.asarray(g, dtype=float)
     if f.shape != g.shape or f.size != mu.dim:
-        raise DimensionMismatch(
+        raise InvalidParameter(
             f"shapes {f.shape}, {g.shape} incompatible with measure dim {mu.dim}"
         )
     return float(np.sum(f * g * mu.weights))
@@ -164,9 +148,9 @@ class OperatorMatrix:
     ):
         A = np.asarray(entries, dtype=float)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
-            raise DimensionMismatch(f"entries must be square, got {A.shape}")
+            raise InvalidParameter(f"entries must be square, got {A.shape}")
         if A.shape[0] != reference_measure.dim:
-            raise DimensionMismatch(
+            raise InvalidParameter(
                 f"operator dim {A.shape[0]} != measure dim {reference_measure.dim}"
             )
         if is_generator:
@@ -188,16 +172,8 @@ class OperatorMatrix:
     def apply(self, f: np.ndarray) -> np.ndarray:
         f = np.asarray(f, dtype=float)
         if f.shape[0] != self.dim:
-            raise DimensionMismatch(f"vector of length {f.shape[0]}, dim {self.dim}")
+            raise InvalidParameter(f"vector of length {f.shape[0]}, dim {self.dim}")
         return self.entries @ f
-
-    def to_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "entries": self.entries.ravel().tolist(),
-            "reference_measure": self.reference_measure.to_dict(),
-            "is_generator": self.is_generator,
-        }
 
 
 class Potential:
@@ -321,15 +297,3 @@ class RngStream:
 
     def choice(self, n: int, p=None):
         return int(self._gen.choice(n, p=p))
-
-
-def rng_uniform(stream: RngStream) -> float:
-    return float(stream.uniform())
-
-
-def rng_gaussian(stream: RngStream, sd: float = 1.0) -> float:
-    return float(stream.gaussian(sd))
-
-
-def rng_exponential(stream: RngStream, rate: float) -> float:
-    return float(stream.exponential(rate))

@@ -38,16 +38,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import OperatorMatrix, WeightedMeasure
-from .errors import (
-    DimensionMismatch,
-    InvalidParameter,
-    NotMeanZero,
-    NotSelfAdjoint,
-    SolveFailure,
-    ZeroRHS,
-)
-from .spectral import SpectralData, decompose
+from .core import OperatorMatrix
+from .errors import InvalidParameter, NumericalFailure
+from .spectral import decompose
 
 __all__ = [
     "HarmonicBasis",
@@ -110,7 +103,6 @@ class HarmonicBasis:
     __slots__ = (
         "T",
         "measure",
-        "eigen_data",
         "alphas",
         "vecs",
         "t",
@@ -128,20 +120,19 @@ class HarmonicBasis:
 
     def __init__(
         self,
-        eigen_data: SpectralData,
-        measure: WeightedMeasure,
+        collapse: OperatorMatrix,
         T: float,
         n_time: int = 96,
         band_limit: float = 100.0,
     ):
+        eigen_data = decompose(collapse)
         if not eigen_data.is_self_adjoint:
-            raise NotSelfAdjoint("harmonic basis requires a self-adjoint collapse")
+            raise InvalidParameter("harmonic basis requires a self-adjoint collapse")
         vals = eigen_data.eigenvalues.real
         if vals.max() > 1e-8 * max(1.0, np.abs(vals).max()):
-            raise NotSelfAdjoint("spectrum must be nonpositive")
+            raise InvalidParameter("spectrum must be nonpositive")
         self.T = float(T)
-        self.measure = measure
-        self.eigen_data = eigen_data
+        self.measure = collapse.reference_measure
         self.alphas = np.sqrt(np.maximum(-vals, 0.0))
         self.vecs = eigen_data.eigenvectors.real
         self.t, self.D, self.w_t = chebyshev_time_grid(n_time, T)
@@ -180,7 +171,7 @@ class HarmonicBasis:
         """Eigen-expansion c_k(t) = <F(t, .), e_k>_mu, shape (n_time, n_space)."""
         F = np.asarray(F, dtype=float)
         if F.shape != (self.n_time, self.n_space):
-            raise DimensionMismatch(
+            raise InvalidParameter(
                 f"field shape {F.shape}, expected {(self.n_time, self.n_space)}"
             )
         return F @ (self.measure.weights[:, None] * self.vecs)
@@ -213,25 +204,17 @@ class HarmonicBasis:
 
 
 def build_harmonic_basis(
-    spec,
+    collapse: OperatorMatrix,
     T: float,
-    measure: WeightedMeasure | None = None,
     n_time: int = 96,
     band_limit: float = 100.0,
 ) -> HarmonicBasis:
-    """Harmonic basis from a collapsed operator or its spectral data.
+    """Harmonic basis of a collapsed generator on [0, T].
 
-    Accepts either the OperatorMatrix of the collapsed generator (the
-    reference measure is taken from it) or a SpectralData plus an
-    explicit measure.  The collapse must be self-adjoint with
-    nonpositive spectrum.
+    The collapse must be self-adjoint in L2 of its reference measure,
+    with nonpositive spectrum.
     """
-    if isinstance(spec, OperatorMatrix):
-        measure = spec.reference_measure
-        spec = decompose(spec)
-    if measure is None:
-        raise InvalidParameter("measure is required when passing SpectralData")
-    return HarmonicBasis(spec, measure, T, n_time=n_time, band_limit=band_limit)
+    return HarmonicBasis(collapse, T, n_time=n_time, band_limit=band_limit)
 
 
 @dataclass(frozen=True)
@@ -268,10 +251,10 @@ def decompose_rhs(f: np.ndarray, basis: HarmonicBasis) -> RhsComponents:
     C = basis.spatial_coefficients(f)
     nf = basis.norm(f)
     if nf == 0.0:
-        raise ZeroRHS("right-hand side is identically zero")
+        raise InvalidParameter("right-hand side is identically zero")
     mean = float(basis.w_t @ (C[:, 0] * np.sqrt(basis.measure.total_mass)))
     if abs(mean) > 1e-8 * nf * np.sqrt(basis.T * basis.measure.total_mass):
-        raise NotMeanZero(f"mean {mean:g} relative to norm {nf:g}")
+        raise InvalidParameter(f"nonzero mean {mean:g} relative to norm {nf:g}")
     n_t, n_x = C.shape
     coeff_a = np.zeros(n_x)
     coeff_s = np.zeros(n_x)
@@ -292,7 +275,7 @@ def decompose_rhs(f: np.ndarray, basis: HarmonicBasis) -> RhsComponents:
         try:
             sol = np.linalg.solve(G, rhs)
         except np.linalg.LinAlgError as exc:  # pragma: no cover - Gram SPD
-            raise SolveFailure(f"singular profile Gram at mode {k}") from exc
+            raise NumericalFailure(f"singular profile Gram at mode {k}") from exc
         ba = sol[0]
         bs = sol[1] if len(cols) == 2 else 0.0
         coeff_a[k] = ba
@@ -331,13 +314,6 @@ class DivergenceSolution:
     bound_ratios: tuple
     basis: HarmonicBasis = field(repr=False)
 
-    def to_dict(self) -> dict:
-        return {
-            "residual": self.residual,
-            "bound_ratios": list(self.bound_ratios),
-            "T": self.basis.T,
-        }
-
 
 def _solve_complement(C_perp: np.ndarray, basis: HarmonicBasis, scale: float):
     """Neumann-in-time elliptic solve (-d_tt + 2 alpha_k^2) g_k = c_k.
@@ -374,7 +350,7 @@ def _solve_complement(C_perp: np.ndarray, basis: HarmonicBasis, scale: float):
             else:
                 G[:, k] = np.linalg.solve(A, b)
         except np.linalg.LinAlgError as exc:
-            raise SolveFailure(f"complement solve failed at mode {k}") from exc
+            raise NumericalFailure(f"complement solve failed at mode {k}") from exc
     return G
 
 
@@ -420,7 +396,7 @@ def _solve_high_mode(basis: HarmonicBasis, k: int, kind: str, n_sine: int = 32):
     try:
         c = np.linalg.solve(K, rhs)[:n_sine]
     except np.linalg.LinAlgError as exc:
-        raise SolveFailure(f"high-mode KKT singular at mode {k}") from exc
+        raise NumericalFailure(f"high-mode KKT singular at mode {k}") from exc
     w_prof = S @ c
     v_prof = U - W @ c
     v_prof[0] = 0.0
@@ -435,7 +411,7 @@ def solve_divergence(f: np.ndarray, basis: HarmonicBasis, m: float) -> Divergenc
     antisymmetric: h = int_0^t f, g = 0.  Low symmetric: split off
     f(0, x) cos(2 pi t / T), integrate it into h, invert 2L on the
     remainder.  High modes: per-mode variational split.  Raises
-    SolveFailure for harmonic content beyond the resolvable band or if
+    NumericalFailure for harmonic content beyond the resolvable band or if
     the complement inverse exceeds its norm ceiling max(1/(2m), T^2/pi^2).
     """
     if m <= 0:
@@ -450,7 +426,7 @@ def solve_divergence(f: np.ndarray, basis: HarmonicBasis, m: float) -> Divergenc
             parts.coeff_s[bad]
         ).max(initial=0.0)
         if stray > 1e-9 * nf:
-            raise SolveFailure(
+            raise NumericalFailure(
                 "harmonic content beyond the resolvable band "
                 f"(coefficient {stray:g} vs norm {nf:g}); refine the time grid"
             )
@@ -460,7 +436,7 @@ def solve_divergence(f: np.ndarray, basis: HarmonicBasis, m: float) -> Divergenc
     norm_fp = basis.norm(parts.perp)
     ceiling = max(1.0 / (2.0 * m), T * T / np.pi**2)
     if norm_g > ceiling * norm_fp * (1.0 + 1e-6) + 1e-12 * nf:
-        raise SolveFailure(
+        raise NumericalFailure(
             f"complement inverse norm {norm_g:g} exceeds ceiling "
             f"{ceiling:g} x {norm_fp:g}"
         )
@@ -523,7 +499,7 @@ def verify_divergence_bounds(sol: DivergenceSolution, f: np.ndarray, T: float, m
     basis = sol.basis
     nf = basis.norm(np.asarray(f, dtype=float))
     if nf == 0.0:
-        raise ZeroRHS("cannot form bound ratios for zero right-hand side")
+        raise InvalidParameter("cannot form bound ratios for zero right-hand side")
     H = basis.spatial_coefficients(sol.h)
     G = basis.spatial_coefficients(sol.g)
     return _bound_ratios(H, G, nf, basis, m)
@@ -552,14 +528,14 @@ def space_time_identity_check(
     g = np.asarray(g, dtype=float)
     h = np.asarray(h, dtype=float)
     if f.shape != g.shape or f.shape != h.shape:
-        raise DimensionMismatch(
+        raise InvalidParameter(
             f"field shapes differ: {f.shape}, {g.shape}, {h.shape}"
         )
     n_t, n_x = f.shape
     if n_x != collapse.dim:
-        raise DimensionMismatch(f"{n_x} spatial nodes, collapse dim {collapse.dim}")
+        raise InvalidParameter(f"{n_x} spatial nodes, collapse dim {collapse.dim}")
     if transport.dim % collapse.dim != 0:
-        raise DimensionMismatch(
+        raise InvalidParameter(
             f"lifted dim {transport.dim} not a multiple of {collapse.dim}"
         )
     n_v = transport.dim // collapse.dim

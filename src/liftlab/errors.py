@@ -1,113 +1,21 @@
-"""Exception hierarchy shared by all liftlab modules."""
+"""Exception hierarchy shared by all liftlab modules.
+
+The CLI maps ``ConfigError`` to exit code 2 and every other
+``LiftlabError`` to exit code 1; messages name the failed condition.
+"""
 
 
 class LiftlabError(Exception):
     """Base class for all domain errors raised by liftlab."""
 
 
-class NonPositiveLength(LiftlabError):
-    pass
-
-
-class TooFewNodes(LiftlabError):
-    pass
-
-
-class DimensionMismatch(LiftlabError):
-    pass
-
-
 class InvalidParameter(LiftlabError):
-    pass
+    """Input the program rejects: a bad value, shape, law or probe."""
 
 
-class InvalidParams(InvalidParameter):
-    pass
-
-
-class InvalidDimension(LiftlabError):
-    pass
-
-
-class InvalidLaw(LiftlabError):
-    pass
-
-
-class EigenFailure(LiftlabError):
-    pass
-
-
-class OverflowGuard(LiftlabError):
-    pass
-
-
-class NotSelfAdjoint(LiftlabError):
-    pass
-
-
-class NotMeanZero(LiftlabError):
-    pass
-
-
-class ZeroFunction(LiftlabError):
-    pass
-
-
-class ZeroRHS(LiftlabError):
-    pass
-
-
-class EmptyProbeSet(LiftlabError):
-    pass
-
-
-class StateMapMismatch(LiftlabError):
-    pass
-
-
-class MissingBound(LiftlabError):
-    pass
-
-
-class CBelowOne(LiftlabError):
-    pass
-
-
-class SolveFailure(LiftlabError):
-    pass
-
-
-class InvalidInitialState(LiftlabError):
-    pass
-
-
-class EmptyTrajectory(LiftlabError):
-    pass
-
-
-class BoundViolation(LiftlabError):
-    pass
-
-
-class ZeroGradient(LiftlabError):
-    pass
-
-
-class SeriesTooShort(LiftlabError):
-    pass
-
-
-class NoiseFloor(LiftlabError):
-    pass
+class NumericalFailure(LiftlabError):
+    """A computation that could not finish or that broke its own invariant."""
 
 
 class ConfigError(LiftlabError):
     """Invalid run configuration (usage error, exit code 2 in the CLI)."""
-
-
-class UnknownKey(ConfigError):
-    pass
-
-
-class MissingRequired(ConfigError):
-    pass

@@ -26,12 +26,7 @@ import numpy as np
 import scipy.sparse
 
 from .core import OperatorMatrix, WeightedMeasure, inner_product
-from .errors import (
-    CBelowOne,
-    EmptyProbeSet,
-    NotMeanZero,
-    ZeroFunction,
-)
+from .errors import InvalidParameter
 from .generators import SplitGenerator
 from .spectral import Semigroup, decompose
 
@@ -51,22 +46,8 @@ __all__ = [
 class FlowReport:
     """Empirical flow Poincare rate over one probe family."""
 
-    T: float
     nu_hat: float
     worst_probe_id: int
-    time_nodes: np.ndarray
-    time_weights: np.ndarray
-    decay_check_margin: Optional[float] = None
-
-    def to_dict(self) -> dict:
-        return {
-            "T": self.T,
-            "nu_hat": self.nu_hat,
-            "worst_probe_id": self.worst_probe_id,
-            "time_nodes": self.time_nodes.tolist(),
-            "time_weights": self.time_weights.tolist(),
-            "decay_check_margin": self.decay_check_margin,
-        }
 
 
 def gauss_legendre(a: float, b: float, n: int):
@@ -80,21 +61,21 @@ def _require_mean_zero(f: np.ndarray, mu: WeightedMeasure):
     f = np.asarray(f, dtype=float)
     nrm = np.sqrt(inner_product(f, f, mu))
     if nrm == 0.0:
-        raise ZeroFunction("probe is identically zero in L2(mu)")
+        raise InvalidParameter("probe is identically zero in L2(mu)")
     ones = np.ones_like(f)
     if abs(inner_product(f, ones, mu)) > 1e-10 * nrm * np.sqrt(mu.total_mass):
-        raise NotMeanZero("probe has nonzero mean against the measure")
+        raise InvalidParameter("probe has nonzero mean against the measure")
     return f
 
 
 def _flow_sums(sg, op, mu, F, T, n_quad):
     """Gauss-Legendre sums over [0, T] for each column f of the block F.
 
-    Returns (num, den, nodes, weights) with num = int <P_t f, -L P_t f> dt
-    and den = int ||P_t f||^2 dt, accumulated one time node at a time.
+    Returns (num, den) with num = int <P_t f, -L P_t f> dt and
+    den = int ||P_t f||^2 dt, accumulated one time node at a time.
     """
     if T <= 0:
-        raise ZeroFunction(f"duration T={T} must be > 0")
+        raise InvalidParameter(f"duration T={T} must be > 0")
     nodes, weights = gauss_legendre(0.0, T, n_quad)
     L = scipy.sparse.csr_array(op.entries)
     wmu = mu.weights
@@ -103,7 +84,7 @@ def _flow_sums(sg, op, mu, F, T, n_quad):
     for i, P in sg.sweep(F, nodes):
         den += weights[i] * (wmu @ (P * P))
         num -= weights[i] * (wmu @ (P * (L @ P)))
-    return num, den, nodes, weights
+    return num, den
 
 
 def flow_ratio(
@@ -121,7 +102,7 @@ def flow_ratio(
     """
     f = _require_mean_zero(f, mu)
     sg = semigroup if semigroup is not None else Semigroup(op)
-    num, den, _, _ = _flow_sums(sg, op, mu, f[:, None], T, n_quad)
+    num, den = _flow_sums(sg, op, mu, f[:, None], T, n_quad)
     return float(num[0] / den[0])
 
 
@@ -168,7 +149,7 @@ def lifted_probe_family(
         if nrm > 1e-12:
             out.append(p / nrm)
     if not out:
-        raise EmptyProbeSet("no usable probes")
+        raise InvalidParameter("no usable probes")
     return out
 
 
@@ -185,19 +166,13 @@ def best_nu(
     The probes propagate together as one (dim, p) block.
     """
     if not probes:
-        raise EmptyProbeSet("empty probe family")
+        raise InvalidParameter("empty probe family")
     F = np.column_stack([_require_mean_zero(f, mu) for f in probes])
     sg = semigroup if semigroup is not None else Semigroup(op)
-    num, den, nodes, weights = _flow_sums(sg, op, mu, F, T, n_quad)
+    num, den = _flow_sums(sg, op, mu, F, T, n_quad)
     ratios = num / den
     worst = int(np.argmin(ratios))
-    return FlowReport(
-        T=T,
-        nu_hat=float(ratios[worst]),
-        worst_probe_id=worst,
-        time_nodes=nodes,
-        time_weights=weights,
-    )
+    return FlowReport(nu_hat=float(ratios[worst]), worst_probe_id=worst)
 
 
 def _window_integral(sg, mu, f, t0, T, n_quad):
@@ -265,7 +240,7 @@ def lifting_upper_bound_check(nu: float, C: float, collapse_gap: float):
     Returns (ok, slack) with slack = bound - nu.
     """
     if C < 1.0:
-        raise CBelowOne(f"C={C} must be >= 1")
+        raise InvalidParameter(f"C={C} must be >= 1")
     bound = (1.0 + np.log(C)) * np.sqrt(2.0 * collapse_gap)
     slack = float(bound - nu)
     return slack >= 0.0, slack

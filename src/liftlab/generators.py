@@ -8,6 +8,9 @@ Builds finite jump-process generators, each with its reference measure, for
 - the 1D overdamped diffusion with potential U (birth-death chain),
 - the 1D zig-zag process on a truncation box.
 
+``rtp_model`` and ``zigzag_model`` build each lift together with its
+collapse, and own the grid and box rules of the two model pairs.
+
 Conventions: position grids include both boundary nodes; lifted state
 spaces are enumerated velocity-block-major, i.e. all nodes for the first
 velocity, then all nodes for the second, and so on, so that a lifted
@@ -29,13 +32,15 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .core import Grid1D, OperatorMatrix, Potential, WeightedMeasure
-from .errors import (
-    DimensionMismatch,
-    InvalidDimension,
-    InvalidParams,
-    NotSelfAdjoint,
+from .core import (
+    Grid1D,
+    OperatorMatrix,
+    Potential,
+    WeightedMeasure,
+    make_grid,
+    quadratic_potential,
 )
+from .errors import InvalidParameter
 
 __all__ = [
     "RtpParams",
@@ -46,6 +51,8 @@ __all__ = [
     "rtp_generator",
     "overdamped_generator_1d",
     "zigzag_generator_1d",
+    "rtp_model",
+    "zigzag_model",
     "invariance_residual",
     "stationary_distribution",
 ]
@@ -62,9 +69,9 @@ class RtpParams:
 
     def __post_init__(self):
         if self.omega <= 0:
-            raise InvalidParams(f"omega={self.omega} must be > 0")
+            raise InvalidParameter(f"omega={self.omega} must be > 0")
         if self.length_L <= 0:
-            raise InvalidParams(f"length_L={self.length_L} must be > 0")
+            raise InvalidParameter(f"length_L={self.length_L} must be > 0")
 
 
 class VelocityKernel:
@@ -81,18 +88,18 @@ class VelocityKernel:
     def __init__(self, rate_matrix: np.ndarray, omega: float):
         lam = np.asarray(rate_matrix, dtype=float)
         if lam.shape != (3, 3):
-            raise DimensionMismatch(f"rate matrix must be 3x3, got {lam.shape}")
+            raise InvalidParameter(f"rate matrix must be 3x3, got {lam.shape}")
         off = lam - np.diag(np.diag(lam))
         if off.min() < 0:
-            raise InvalidParams("rate matrix has a negative off-diagonal entry")
+            raise InvalidParameter("rate matrix has a negative off-diagonal entry")
         if np.abs(lam.sum(axis=1)).max() > 1e-12 * max(1.0, np.abs(lam).max()):
-            raise InvalidParams("rate matrix rows must sum to zero")
+            raise InvalidParameter("rate matrix rows must sum to zero")
         S = np.diag([0.25, 0.5, 0.25])
         Q = lam / omega
         # S-self-adjointness: Q = S^{-1} Q^T S, entrywise
         Q_star = np.diag(1.0 / np.diag(S)) @ Q.T @ S
         if np.abs(Q - Q_star).max() > 1e-14 * max(1.0, np.abs(Q).max()):
-            raise NotSelfAdjoint("Q is not self-adjoint in the S inner product")
+            raise InvalidParameter("Q is not self-adjoint in the S inner product")
         self.states = RTP_VELOCITIES
         self.rate_matrix = lam
         self.weight_matrix = S
@@ -104,7 +111,7 @@ class VelocityKernel:
 def velocity_kernel(omega: float) -> VelocityKernel:
     """Relative-velocity kernel of the jamming pair at tumble rate omega."""
     if omega <= 0:
-        raise InvalidParams(f"omega={omega} must be > 0")
+        raise InvalidParameter(f"omega={omega} must be > 0")
     lam = omega * np.array(
         [
             [-2.0, 2.0, 0.0],
@@ -136,16 +143,16 @@ class SplitGenerator:
         velocities: tuple,
     ):
         if gamma < 0:
-            raise InvalidParams(f"gamma={gamma} must be >= 0")
+            raise InvalidParameter(f"gamma={gamma} must be >= 0")
         mu = full.reference_measure
         if transport.reference_measure is not mu or refresh.reference_measure is not mu:
-            raise InvalidParams("split parts must share one reference measure")
+            raise InvalidParameter("split parts must share one reference measure")
         combo = transport.entries + gamma * refresh.entries
         scale = max(1.0, np.abs(full.entries).max())
         if np.abs(full.entries - combo).max() > 1e-12 * scale:
-            raise InvalidParams("full generator != transport + gamma * refresh")
+            raise InvalidParameter("full generator != transport + gamma * refresh")
         if n_position * len(velocities) != full.dim:
-            raise DimensionMismatch("state count != n_position * n_velocity")
+            raise InvalidParameter("state count != n_position * n_velocity")
         self.full = full
         self.transport = transport
         self.refresh = refresh
@@ -161,15 +168,10 @@ class SplitGenerator:
         """Lift a position function: (f o pi)(x, v) = f(x)."""
         f = np.asarray(f, dtype=float)
         if f.shape[0] != self.n_position:
-            raise DimensionMismatch(
+            raise InvalidParameter(
                 f"position vector of length {f.shape[0]}, expected {self.n_position}"
             )
         return np.tile(f, self.n_velocity)
-
-    def position_marginal(self) -> np.ndarray:
-        """Weights of the reference measure collapsed over velocities."""
-        w = self.full.reference_measure.weights
-        return w.reshape(self.n_velocity, self.n_position).sum(axis=0)
 
     def conditional_velocity_law(self, node: int) -> np.ndarray:
         """Conditional law of the velocity given position node ``node``."""
@@ -181,7 +183,7 @@ class SplitGenerator:
         """Project a lifted function onto position functions: (Pi_v F)(x)."""
         F = np.asarray(F, dtype=float)
         if F.shape[0] != self.full.dim:
-            raise DimensionMismatch(
+            raise InvalidParameter(
                 f"lifted vector of length {F.shape[0]}, expected {self.full.dim}"
             )
         w = self.full.reference_measure.weights
@@ -189,16 +191,6 @@ class SplitGenerator:
         kw = w.reshape(self.n_velocity, self.n_position)
         tot = kw.sum(axis=0)
         return (blocks * kw).sum(axis=0) / tot
-
-    def to_dict(self) -> dict:
-        return {
-            "gamma": self.gamma,
-            "n_position": self.n_position,
-            "velocities": list(self.velocities),
-            "full": self.full.to_dict(),
-            "transport": self.transport.to_dict(),
-            "refresh": self.refresh.to_dict(),
-        }
 
 
 def sticky_bm_generator(grid: Grid1D, omega: float):
@@ -216,7 +208,7 @@ def sticky_bm_generator(grid: Grid1D, omega: float):
     (OperatorMatrix, WeightedMeasure)
     """
     if omega <= 0:
-        raise InvalidParams(f"omega={omega} must be > 0")
+        raise InvalidParameter(f"omega={omega} must be > 0")
     N = grid.n_nodes
     h = grid.h
     L = np.zeros((N, N))
@@ -262,7 +254,7 @@ def rtp_generator(grid: Grid1D, params: RtpParams) -> SplitGenerator:
     finite resolution.
     """
     if abs(params.length_L - grid.length_L) > 1e-12 * params.length_L:
-        raise InvalidParams(
+        raise InvalidParameter(
             f"grid length {grid.length_L} != params length {params.length_L}"
         )
     omega = params.omega
@@ -350,7 +342,7 @@ def overdamped_generator_1d(grid: Grid1D, U: Potential, x_min: float = 0.0):
     (OperatorMatrix, WeightedMeasure)
     """
     if U.dim != 1:
-        raise InvalidDimension(f"need a 1D potential, got dim {U.dim}")
+        raise InvalidParameter(f"need a 1D potential, got dim {U.dim}")
     N = grid.n_nodes
     h = grid.h
     xs = x_min + grid.nodes
@@ -388,9 +380,9 @@ def zigzag_generator_1d(
     for the chain up to O(h) plus the box truncation error.
     """
     if U.dim != 1:
-        raise InvalidDimension(f"need a 1D potential, got dim {U.dim}")
+        raise InvalidParameter(f"need a 1D potential, got dim {U.dim}")
     if gamma < 0:
-        raise InvalidParams(f"gamma={gamma} must be >= 0")
+        raise InvalidParameter(f"gamma={gamma} must be >= 0")
     N = grid.n_nodes
     h = grid.h
     xs = x_min + grid.nodes
@@ -448,6 +440,34 @@ def zigzag_generator_1d(
     return SplitGenerator(full, transport, refresh, gamma, N, (1, -1))
 
 
+def rtp_model(omega: float, L: float, n_interior: int):
+    """The RTP lift and its sticky-BM collapse on one grid of [0, L].
+
+    Returns (split, collapse, h): the run-and-tumble split generator, the
+    sticky Brownian motion generator it collapses to, and the grid
+    spacing.
+    """
+    grid = make_grid(L, n_interior)
+    split = rtp_generator(grid, RtpParams(omega, L))
+    collapse, _ = sticky_bm_generator(grid, omega)
+    return split, collapse, grid.h
+
+
+def zigzag_model(m: float, gamma: float, n_interior: int):
+    """The 1D Zig-Zag lift and its overdamped collapse for U = m x^2 / 2.
+
+    Both live on the truncation box [-4/sqrt(m), 4/sqrt(m)], four
+    standard deviations of the target law on each side.  Returns
+    (split, collapse, h) as :func:`rtp_model` does.
+    """
+    width = 4.0 / np.sqrt(m)
+    grid = make_grid(2.0 * width, n_interior)
+    U = quadratic_potential([m])
+    split = zigzag_generator_1d(grid, U, gamma, x_min=-width)
+    collapse, _ = overdamped_generator_1d(grid, U, x_min=-width)
+    return split, collapse, grid.h
+
+
 def invariance_residual(op: OperatorMatrix, exclude=()) -> float:
     """Relative stationarity defect of the reference measure.
 
@@ -473,7 +493,7 @@ def stationary_distribution(op: OperatorMatrix) -> np.ndarray:
     """
     ns = scipy.linalg.null_space(op.entries.T)
     if ns.shape[1] < 1:
-        raise InvalidParams("generator has no stationary vector")
+        raise InvalidParameter("generator has no stationary vector")
     v = ns[:, 0]
     if v.sum() < 0:
         v = -v

@@ -29,12 +29,7 @@ import numpy as np
 import scipy.linalg
 
 from .core import OperatorMatrix, Potential, inner_product
-from .errors import (
-    EmptyProbeSet,
-    InvalidParams,
-    MissingBound,
-    StateMapMismatch,
-)
+from .errors import InvalidParameter
 from .generators import SplitGenerator, VelocityKernel
 from .spectral import Semigroup, decompose, dirichlet_form
 
@@ -79,15 +74,15 @@ class AssumptionConstants:
 
     def __post_init__(self):
         if self.m <= 0 or self.m_v <= 0 or self.gamma <= 0 or self.T <= 0:
-            raise InvalidParams("m, m_v, gamma, T must all be positive")
+            raise InvalidParameter("m, m_v, gamma, T must all be positive")
         if self.C1 < 0 or self.C2 < 0:
-            raise InvalidParams("C1, C2 must be nonnegative")
+            raise InvalidParameter("C1, C2 must be nonnegative")
         if self.K is not None and self.K < 0:
-            raise InvalidParams("K must be >= 0")
+            raise InvalidParameter("K must be >= 0")
         if self.a is not None and not (0 <= self.a < 1):
-            raise InvalidParams("a must lie in [0, 1)")
+            raise InvalidParameter("a must lie in [0, 1)")
         if self.b is not None and self.b < 0:
-            raise InvalidParams("b must be >= 0")
+            raise InvalidParameter("b must be >= 0")
         self.nu = rate_formula(self)
 
     def to_dict(self) -> dict:
@@ -164,38 +159,30 @@ def collapse_probes(
         if nrm > 0:
             out.append(p / nrm)
     if not out:
-        raise EmptyProbeSet("no usable probes")
+        raise InvalidParameter("no usable probes")
     return out
 
 
 def _check_probe_dims(split: SplitGenerator, probes):
     if not probes:
-        raise EmptyProbeSet("empty probe list")
+        raise InvalidParameter("empty probe list")
     for p in probes:
         if np.asarray(p).shape[0] != split.n_position:
-            raise StateMapMismatch(
+            raise InvalidParameter(
                 f"probe of length {np.asarray(p).shape[0]} does not match "
                 f"{split.n_position} position nodes"
             )
 
 
-def check_first_order(
-    split: SplitGenerator,
-    collapse: OperatorMatrix,
-    probes,
-    part: str = "full",
-) -> float:
+def check_first_order(split: SplitGenerator, collapse: OperatorMatrix, probes) -> float:
     """Largest relative |<L_hat (f o pi), g o pi>| over probe pairs.
 
     Each pair is normalized by ||L_hat (f o pi)|| * ||g o pi|| so the
     statistic is scale-free; pairs where either factor vanishes (e.g.
-    constant f) contribute zero.  ``part`` selects the operator: "full"
-    for the whole lifted generator or "transport" for the transport part
-    alone (both must vanish in the continuum, since the refresh kills
-    lifted functions wherever the conditional velocity law is preserved).
+    constant f) contribute zero.
     """
     _check_probe_dims(split, probes)
-    op = {"full": split.full, "transport": split.transport}[part]
+    op = split.full
     mu = op.reference_measure
     lifted = [split.lift(np.asarray(p, dtype=float)) for p in probes]
     applied = [op.apply(F) for F in lifted]
@@ -338,7 +325,7 @@ def assumption_constants(
     the Lyapunov pair (a, b) for the forward process).
     """
     if m <= 0:
-        raise InvalidParams(f"m={m} must be > 0")
+        raise InvalidParameter(f"m={m} must be > 0")
     if T is None:
         T = m ** -0.5
     C2 = 1.0 / np.sqrt(2.0 * m)
@@ -370,7 +357,7 @@ def assumption_constants(
         d = potential.dim
         scaling_only = True
     else:
-        raise InvalidParams(f"unknown process_id {process_id!r}")
+        raise InvalidParameter(f"unknown process_id {process_id!r}")
     return AssumptionConstants(
         m=m,
         m_v=m_v,
@@ -389,7 +376,7 @@ def assumption_constants(
 
 def _need(potential: Optional[Potential], attr: str, process_id: str):
     if potential is None or getattr(potential, attr) is None:
-        raise MissingBound(f"process {process_id!r} needs potential.{attr}")
+        raise InvalidParameter(f"process {process_id!r} needs potential.{attr}")
     return getattr(potential, attr)
 
 

@@ -14,7 +14,7 @@ import numpy as np
 import scipy.linalg
 
 from .core import OperatorMatrix, inner_product
-from .errors import DimensionMismatch, EigenFailure, OverflowGuard
+from .errors import InvalidParameter, NumericalFailure
 
 __all__ = [
     "SpectralData",
@@ -23,7 +23,6 @@ __all__ = [
     "spectral_gap",
     "poincare_constant",
     "Semigroup",
-    "semigroup_apply",
     "dirichlet_form",
 ]
 
@@ -53,14 +52,6 @@ class SpectralData:
         self.eigenvectors = vecs
         self.is_self_adjoint = self_adjoint
         self.gap = float(-vals[1].real) if vals.size > 1 else 0.0
-
-    def to_dict(self) -> dict:
-        vals = np.atleast_1d(self.eigenvalues).astype(complex)
-        return {
-            "eigenvalues": [[v.real, v.imag] for v in vals],
-            "is_self_adjoint": self.is_self_adjoint,
-            "gap": self.gap,
-        }
 
 
 def is_self_adjoint(op: OperatorMatrix, n_probes: int = 20, tol: float = 1e-10) -> bool:
@@ -104,7 +95,7 @@ def _solve(op: OperatorMatrix) -> SpectralData:
         vals, vecs = scipy.linalg.eig(op.entries)
         return SpectralData(vals, vecs, False)
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover - rare
-        raise EigenFailure(str(exc)) from exc
+        raise NumericalFailure(f"eigendecomposition failed: {exc}") from exc
 
 
 def spectral_gap(op: OperatorMatrix) -> float:
@@ -114,7 +105,7 @@ def spectral_gap(op: OperatorMatrix) -> float:
 def poincare_constant(op: OperatorMatrix) -> float:
     gap = spectral_gap(op)
     if gap <= 0:
-        raise EigenFailure(f"nonpositive spectral gap {gap}")
+        raise NumericalFailure(f"nonpositive spectral gap {gap}")
     return 1.0 / gap
 
 
@@ -164,7 +155,7 @@ class Semigroup:
         if not np.array_equal(np.nonzero(vals.imag < 0)[0], lower) or (
             vals[lower] != vals[upper].conj()
         ).any():
-            raise EigenFailure("complex eigenvalues do not come in adjacent conjugate pairs")
+            raise NumericalFailure("complex eigenvalues do not come in adjacent conjugate pairs")
         keep = vals.imag >= 0
         self._vinv = vinv
         self._keep = keep
@@ -225,12 +216,12 @@ class Semigroup:
 
     def _validate(self, f: np.ndarray, t: float):
         if t < 0:
-            raise OverflowGuard(f"negative time t={t}")
+            raise InvalidParameter(f"negative time t={t}")
         if t * self._norm > 1e6:
-            raise OverflowGuard(f"t * ||L|| = {t * self._norm:g} exceeds 1e6")
+            raise InvalidParameter(f"t * ||L|| = {t * self._norm:g} exceeds 1e6")
         f = np.asarray(f, dtype=float)
         if f.shape[0] != self.op.dim:
-            raise DimensionMismatch(f"vector of length {f.shape[0]}, dim {self.op.dim}")
+            raise InvalidParameter(f"vector of length {f.shape[0]}, dim {self.op.dim}")
         return f
 
     def apply(self, f: np.ndarray, t: float) -> np.ndarray:
@@ -272,21 +263,6 @@ class Semigroup:
         for i, P in self.sweep(f, ts):
             out[i] = P
         return out
-
-
-def semigroup_apply(op: OperatorMatrix, f: np.ndarray, t: float) -> np.ndarray:
-    """Matrix exponential action exp(tL) f (single-shot convenience)."""
-    if t < 0:
-        raise OverflowGuard(f"negative time t={t}")
-    norm = float(np.abs(op.entries).max())
-    if t * norm > 1e6:
-        raise OverflowGuard(f"t * ||L|| = {t * norm:g} exceeds 1e6")
-    f = np.asarray(f, dtype=float)
-    if f.shape[0] != op.dim:
-        raise DimensionMismatch(f"vector of length {f.shape[0]}, dim {op.dim}")
-    if t == 0.0:
-        return f.copy()
-    return scipy.linalg.expm(op.entries * t) @ f
 
 
 def dirichlet_form(op: OperatorMatrix, f: np.ndarray, g: np.ndarray) -> float:

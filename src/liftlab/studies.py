@@ -14,22 +14,15 @@ from __future__ import annotations
 import numpy as np
 
 from . import __version__
-from .core import RngStream, make_grid, quadratic_potential
+from .core import RngStream, quadratic_potential
 from .errors import InvalidParameter
-from .generators import (
-    RtpParams,
-    overdamped_generator_1d,
-    rtp_generator,
-    sticky_bm_generator,
-    zigzag_generator_1d,
-)
+from .generators import RtpParams, rtp_model, zigzag_model
 from .io_utils import atomic_write_text, config_hash
 from .lift_check import assumption_constants, rate_formula
 from .flow_poincare import best_nu, lifted_probe_family, lifting_upper_bound_check
 from .simulate import (
     empirical_decay_rate,
     rtp_stationary_state,
-    sample_velocity,
     simulate_forward,
     simulate_rtp,
     simulate_zigzag,
@@ -108,9 +101,7 @@ def _rtp_nu_hat(omega: float, L: float, n_interior: int, T_rule: str = "relaxati
     # error of the gap behaves like omega*h, so the node count scales
     # with omega up to a hard cap
     n_eff = max(n_interior, min(800, round(4.0 * omega * L)))
-    grid = make_grid(L, n_eff)
-    split = rtp_generator(grid, RtpParams(omega=omega, length_L=L))
-    collapse, _ = sticky_bm_generator(grid, omega)
+    split, collapse, _ = rtp_model(omega, L, n_eff)
     return _windowed_nu(split, collapse, T_rule)
 
 
@@ -207,10 +198,7 @@ def _zigzag_discrete_nu(m: float, gamma: float, n_interior: int):
     # spectral relaxation rate of the lifted generator (smallest nonzero
     # real-part magnitude): the sharpest deterministic rate available for
     # a discretized process, and directly comparable across gamma
-    width = 4.0 / np.sqrt(m)
-    grid = make_grid(2.0 * width, n_interior)
-    U = quadratic_potential([m])
-    split = zigzag_generator_1d(grid, U, gamma, x_min=-width)
+    split, _, _ = zigzag_model(m, gamma, n_interior)
     vals = decompose(split.full).eigenvalues
     rates = -np.atleast_1d(vals).real
     return float(rates[rates > 1e-9].min())

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from liftlab.cli import RunConfig, main, parse_config
-from liftlab.errors import MissingRequired, UnknownKey
+from liftlab.errors import ConfigError
 from liftlab.io_utils import atomic_write_text, config_hash
 
 
@@ -42,11 +42,11 @@ class TestParseConfig:
         assert cfg.values["omega"] == 1.0
 
     def test_missing_required(self):
-        with pytest.raises(MissingRequired):
+        with pytest.raises(ConfigError, match="missing required key 'process'"):
             parse_config(["spectrum"])
 
     def test_conditional_requirement(self):
-        with pytest.raises(MissingRequired):
+        with pytest.raises(ConfigError, match="missing required key 'omega'"):
             parse_config(["simulate", "--process", "rtp", "--t-end", "10"])
 
     def test_bad_choice(self):
@@ -74,13 +74,13 @@ class TestParseConfig:
     def test_unknown_config_key(self, tmp_path):
         f = tmp_path / "c.json"
         f.write_text(json.dumps({"process": "sticky-bm", "bogus": 1}))
-        with pytest.raises(UnknownKey):
+        with pytest.raises(ConfigError, match="unknown config key 'bogus'"):
             parse_config(["spectrum", "--config", str(f)])
 
     def test_config_file_subcommand_mismatch(self, tmp_path):
         f = tmp_path / "c.json"
         f.write_text(json.dumps({"subcommand": "simulate", "process": "sticky-bm"}))
-        with pytest.raises(UnknownKey):
+        with pytest.raises(ConfigError, match="config file is for subcommand 'simulate'"):
             parse_config(["spectrum", "--config", str(f)])
 
     def test_render_round_trip(self):
@@ -107,6 +107,16 @@ class TestMainExitCodes:
     def test_help_is_0(self, capsys):
         assert main(["--help"]) == 0
         capsys.readouterr()
+
+    def test_threads_flag_removed(self, capsys):
+        assert main(["spectrum", "--process", "sticky-bm", "--threads", "2"]) == 2
+        capsys.readouterr()
+
+    def test_threads_config_key_is_unknown(self, capsys, tmp_path):
+        f = tmp_path / "c.json"
+        f.write_text(json.dumps({"process": "sticky-bm", "threads": 2}))
+        assert main(["spectrum", "--config", str(f)]) == 2
+        assert "unknown config key 'threads'" in capsys.readouterr().err
 
     def test_missing_config_file_is_2(self, capsys):
         assert main(["spectrum", "--config", "/nonexistent.json"]) == 2
@@ -161,6 +171,16 @@ class TestMainExitCodes:
         assert main(args) == 0
         assert out.read_bytes() == first
         capsys.readouterr()
+
+    def test_output_path_changes_neither_hash_nor_bytes(self, capsys, tmp_path):
+        base = ["spectrum", "--process", "rtp", "--n-interior", "30", "--output"]
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        assert main(base + [str(a)]) == 0
+        first = json.loads(capsys.readouterr().out.strip())
+        assert main(base + [str(b)]) == 0
+        second = json.loads(capsys.readouterr().out.strip())
+        assert first["config_hash"] == second["config_hash"]
+        assert a.read_bytes() == b.read_bytes()
 
     def test_lift_check_smoke(self, capsys, tmp_path):
         out = tmp_path / "lift.json"

@@ -15,12 +15,7 @@ from liftlab.core import (
     make_grid,
     quadratic_potential,
 )
-from liftlab.errors import (
-    DimensionMismatch,
-    InvalidParameter,
-    NonPositiveLength,
-    TooFewNodes,
-)
+from liftlab.errors import InvalidParameter
 
 
 class TestGrid:
@@ -32,13 +27,13 @@ class TestGrid:
         assert np.allclose(np.diff(g.nodes), g.h)
 
     def test_nonpositive_length(self):
-        with pytest.raises(NonPositiveLength):
+        with pytest.raises(InvalidParameter, match="length_L=0.0 must be > 0"):
             make_grid(0.0, 10)
-        with pytest.raises(NonPositiveLength):
+        with pytest.raises(InvalidParameter, match="length_L=-1.0 must be > 0"):
             make_grid(-1.0, 10)
 
     def test_too_few_nodes(self):
-        with pytest.raises(TooFewNodes):
+        with pytest.raises(InvalidParameter, match="n_interior=1 must be >= 2"):
             make_grid(1.0, 1)
 
     def test_nodes_immutable(self):
@@ -72,14 +67,14 @@ class TestWeightedMeasure:
             WeightedMeasure(range(2), [-0.5, 0.5], [0.0, 0.0])
 
     def test_length_mismatch(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InvalidParameter, match="must have equal length"):
             WeightedMeasure(range(3), [0.5, 0.5], [0.0, 0.0])
 
 
 class TestInnerProduct:
     def test_dimension_mismatch(self):
         mu = WeightedMeasure(range(3), np.zeros(3), np.ones(3) / 3, probability=True)
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InvalidParameter, match="incompatible with measure dim 3"):
             inner_product(np.ones(2), np.ones(3), mu)
 
     @settings(max_examples=25, deadline=None)
@@ -118,7 +113,7 @@ class TestOperatorMatrix:
         assert np.allclose(op.apply(np.ones(2)), 0.0)
 
     def test_dim_mismatch_with_measure(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InvalidParameter, match="operator dim 3 != measure dim 2"):
             OperatorMatrix(np.zeros((3, 3)), self._mu(2))
 
 

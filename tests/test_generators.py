@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from liftlab.core import make_grid, quadratic_potential
-from liftlab.errors import InvalidParams, NotSelfAdjoint
+from liftlab.errors import InvalidParameter
 from liftlab.generators import (
     RTP_VELOCITIES,
     RtpParams,
@@ -12,10 +12,12 @@ from liftlab.generators import (
     invariance_residual,
     overdamped_generator_1d,
     rtp_generator,
+    rtp_model,
     stationary_distribution,
     sticky_bm_generator,
     velocity_kernel,
     zigzag_generator_1d,
+    zigzag_model,
 )
 from liftlab.spectral import is_self_adjoint, spectral_gap
 
@@ -36,11 +38,11 @@ class TestVelocityKernel:
 
     def test_non_self_adjoint_rejected(self):
         lam = np.array([[-1.0, 1.0, 0.0], [0.0, -1.0, 1.0], [1.0, 0.0, -1.0]])
-        with pytest.raises(NotSelfAdjoint):
+        with pytest.raises(InvalidParameter, match="not self-adjoint"):
             VelocityKernel(lam, 1.0)
 
     def test_invalid_omega(self):
-        with pytest.raises(InvalidParams):
+        with pytest.raises(InvalidParameter, match="omega=0.0 must be > 0"):
             velocity_kernel(0.0)
 
 
@@ -114,7 +116,7 @@ class TestRtp:
         assert np.allclose(law, [0.25, 0.5, 0.25])
 
     def test_grid_length_mismatch(self):
-        with pytest.raises(InvalidParams):
+        with pytest.raises(InvalidParameter, match="grid length 1.0 != params length 2.0"):
             rtp_generator(make_grid(1.0, 20), RtpParams(omega=1.0, length_L=2.0))
 
 
@@ -151,7 +153,7 @@ class TestZigzag:
         grid = make_grid(8.0, 30)
         split = zigzag_generator_1d(grid, U, 0.0, x_min=-4.0)
         assert np.abs(split.full.entries - split.transport.entries).max() == 0.0
-        with pytest.raises(InvalidParams):
+        with pytest.raises(InvalidParameter, match="gamma=-1.0 must be >= 0"):
             zigzag_generator_1d(grid, U, -1.0, x_min=-4.0)
 
     def test_stationarity_defect_shrinks(self):
@@ -161,3 +163,27 @@ class TestZigzag:
             split = zigzag_generator_1d(make_grid(8.0, n), U, 1.0, x_min=-4.0)
             res.append(invariance_residual(split.full))
         assert res[1] < res[0] * 0.7
+
+
+class TestModels:
+    def test_rtp_model_matches_builders(self):
+        split, collapse, h = rtp_model(2.0, 1.5, 30)
+        grid = make_grid(1.5, 30)
+        assert h == grid.h
+        ref = rtp_generator(grid, RtpParams(omega=2.0, length_L=1.5))
+        assert np.array_equal(split.full.entries, ref.full.entries)
+        assert np.array_equal(collapse.entries, sticky_bm_generator(grid, 2.0)[0].entries)
+        assert split.n_position == collapse.dim
+
+    def test_zigzag_model_box_is_four_standard_deviations(self):
+        m = 4.0
+        split, collapse, h = zigzag_model(m, 0.5, 30)
+        width = 4.0 / np.sqrt(m)
+        assert h == pytest.approx(2.0 * width / 31)
+        U = quadratic_potential([m])
+        grid = make_grid(2.0 * width, 30)
+        ref = zigzag_generator_1d(grid, U, 0.5, x_min=-width)
+        assert np.array_equal(split.full.entries, ref.full.entries)
+        ref_c, _ = overdamped_generator_1d(grid, U, x_min=-width)
+        assert np.array_equal(collapse.entries, ref_c.entries)
+        assert split.n_position == collapse.dim

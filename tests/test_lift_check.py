@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from liftlab.core import make_grid, quadratic_potential
-from liftlab.errors import (
-    EmptyProbeSet,
-    InvalidParams,
-    MissingBound,
-    StateMapMismatch,
-)
+from liftlab.errors import InvalidParameter
 from liftlab.generators import RtpParams, rtp_generator, sticky_bm_generator, velocity_kernel
 from liftlab.lift_check import (
     AssumptionConstants,
@@ -75,11 +70,11 @@ class TestLiftChecks:
         assert res < 0.02
 
     def test_probe_length_validated(self, rtp_pair_100):
-        with pytest.raises(StateMapMismatch):
+        with pytest.raises(InvalidParameter, match="probe of length 5 does not match"):
             check_first_order(
                 rtp_pair_100["split"], rtp_pair_100["collapse"], [np.ones(5)]
             )
-        with pytest.raises(EmptyProbeSet):
+        with pytest.raises(InvalidParameter, match="empty probe list"):
             check_weak_antisymmetry(rtp_pair_100["split"], [])
 
     def test_zigzag_pair_residuals_converge(self, zigzag_pair_80):
@@ -137,15 +132,15 @@ class TestConstants:
         assert c.C1 == pytest.approx(np.sqrt((1.0 + 0.5) / 0.5))
 
     def test_missing_bounds_raise(self):
-        with pytest.raises(MissingBound):
+        with pytest.raises(InvalidParameter, match="needs potential.curvature_lower"):
             assumption_constants("langevin", m=0.5, gamma=1.0, potential=None)
 
     def test_unknown_process(self):
-        with pytest.raises(InvalidParams):
+        with pytest.raises(InvalidParameter, match="unknown process_id 'bogus'"):
             assumption_constants("bogus", m=0.5, gamma=1.0)
 
     def test_invalid_scalars(self):
-        with pytest.raises(InvalidParams):
+        with pytest.raises(InvalidParameter, match="must all be positive"):
             AssumptionConstants(m=-1.0, m_v=1.0, C1=1.0, C2=1.0, gamma=1.0, T=1.0)
 
 

@@ -7,15 +7,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from liftlab.core import RngStream, make_grid, quadratic_potential
-from liftlab.errors import (
-    BoundViolation,
-    InvalidInitialState,
-    InvalidLaw,
-    InvalidParameter,
-    MissingBound,
-    NoiseFloor,
-    SeriesTooShort,
-)
+from liftlab.errors import InvalidParameter, NumericalFailure
 from liftlab.generators import RtpParams
 from liftlab.simulate import (
     Trajectory,
@@ -108,11 +100,11 @@ class TestAffineArrival:
 class TestRtpSimulation:
     def test_initial_state_validated(self):
         p = RtpParams(omega=1.0, length_L=1.0)
-        with pytest.raises(InvalidInitialState):
+        with pytest.raises(InvalidParameter, match="x0=2.0 outside"):
             simulate_rtp(p, 2.0, 2, 1.0, RngStream(0))
-        with pytest.raises(InvalidInitialState):
+        with pytest.raises(InvalidParameter, match="v0=1 not in"):
             simulate_rtp(p, 0.5, 1, 1.0, RngStream(0))
-        with pytest.raises(InvalidInitialState):
+        with pytest.raises(InvalidParameter, match="t_end=0.0 must be > 0"):
             simulate_rtp(p, 0.5, 2, 0.0, RngStream(0))
 
     def test_deterministic_replay(self):
@@ -195,15 +187,15 @@ class TestZigzag:
             value=lambda x: float(np.cosh(x[0])),
             gradient=lambda x: np.sinh(np.asarray(x, dtype=float)),
         )
-        with pytest.raises(MissingBound):
+        with pytest.raises(InvalidParameter, match="does not declare quadratic coefficients"):
             quadratic_rate_bound(U)
-        with pytest.raises(MissingBound):
+        with pytest.raises(InvalidParameter, match="does not declare hess_L"):
             lipschitz_rate_bound(U)
 
     def test_inversion_requires_exact_bound(self):
         U = quadratic_potential([1.0])
         loose = lipschitz_rate_bound(U)
-        with pytest.raises(InvalidParameter):
+        with pytest.raises(InvalidParameter, match="requires an exact rate bound"):
             simulate_zigzag(U, "hypercube", 1.0, [0.0], 1.0, RngStream(0),
                             rate_bound=loose, method="inversion")
 
@@ -214,7 +206,7 @@ class TestZigzag:
             return 0.01 * x * v, 0.01 * v * v
 
         bad.exact = False
-        with pytest.raises(BoundViolation):
+        with pytest.raises(NumericalFailure, match="exceeds envelope"):
             simulate_zigzag(U, "hypercube", 0.0, [3.0], 50.0, RngStream(2),
                             rate_bound=bad)
 
@@ -243,7 +235,7 @@ class TestZigzag:
         v = sample_velocity("coords", 4, rng)
         assert np.count_nonzero(v) == 1
         assert abs(np.linalg.norm(v) - 2.0) < 1e-12
-        with pytest.raises(InvalidLaw):
+        with pytest.raises(InvalidParameter, match="velocity law 'bogus' not in"):
             sample_velocity("bogus", 2, rng)
 
 
@@ -302,7 +294,7 @@ class TestDiagnostics:
         assert np.isnan(tau)
 
     def test_series_too_short(self):
-        with pytest.raises(SeriesTooShort):
+        with pytest.raises(InvalidParameter, match="series length 50 < 10"):
             autocorrelation(np.arange(50.0), 1.0, 10)
 
     def test_empirical_decay_rate_flip_chain(self):
@@ -328,7 +320,7 @@ class TestDiagnostics:
         def run_noise(stream, t_grid):
             return stream.gaussian(size=len(t_grid))
 
-        with pytest.raises(NoiseFloor):
+        with pytest.raises(NumericalFailure, match="above the noise floor"):
             empirical_decay_rate(run_noise, 100, np.linspace(0.5, 5.0, 10), RngStream(3))
 
     def test_trajectory_moment_matches_quadrature(self):

@@ -31,7 +31,7 @@ class TestLoglogSlope:
         assert err > 0
 
     def test_too_few_points(self):
-        with pytest.raises(InvalidParameter):
+        with pytest.raises(InvalidParameter, match="at least two points"):
             loglog_slope([1.0], [1.0])
 
 
@@ -115,7 +115,7 @@ class TestGammaStudy:
         assert res["gamma_star"] == pytest.approx(s)
 
     def test_unknown_process(self):
-        with pytest.raises(InvalidParameter):
+        with pytest.raises(InvalidParameter, match="process 'bogus' not in"):
             gamma_study("bogus", 1.0, [1.0])
 
     def test_deterministic_rerun(self, tmp_path):

@@ -346,8 +346,7 @@ def _run_spectrum(cfg: RunConfig, path: str) -> dict:
     op = _spectrum_operator(v)
     sd = decompose(op)
     vals = np.sort_complex(np.atleast_1d(sd.eigenvalues))[::-1]
-    rates = -vals.real
-    gap = float(rates[rates > 1e-9].min())
+    gap = sd.gap
     head = vals[: v["n_eigen"]]
     _json_artifact(cfg, {
         "process": v["process"],
@@ -362,7 +361,7 @@ def _run_spectrum(cfg: RunConfig, path: str) -> dict:
 def _run_lift_check(cfg: RunConfig, path: str) -> dict:
     v = cfg.values
     split, collapse, h = _model(v)
-    probes = collapse_probes(collapse, seed=v["seed"])
+    probes = collapse_probes(collapse)
     report = lift_report(split, collapse, probes, h)
     m = spectral_gap(collapse)
     T = _auto_T(v["T"], collapse)
@@ -484,6 +483,7 @@ def _run_study(cfg: RunConfig, path: str) -> dict:
     )
     return {
         "gamma_star": res["gamma_star"],
+        "gamma_formula_star": res["gamma_formula_star"],
         "nu_star": res["nu_star"],
         "edge_ratio": res["edge_ratio"],
         "spearman_rho": res["spearman_rho"],

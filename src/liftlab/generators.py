@@ -60,6 +60,24 @@ __all__ = [
 RTP_VELOCITIES = (2, 0, -2)
 
 
+def _jump_generator(dim: int, jumps) -> np.ndarray:
+    """Dense generator of a jump list.
+
+    ``jumps`` holds (source, target, rate) triples of broadcastable index
+    and rate arrays.  Each jump adds its rate at (source, target); each
+    diagonal entry is minus its row's total exit rate.
+    """
+    L = np.zeros((dim, dim))
+    for source, target, rate in jumps:
+        np.add.at(L, (source, target), rate)
+    exit_rate = L.sum(axis=1)
+    # rows without jumps keep their zero diagonal unwritten, so memory
+    # pages that hold nothing but zeros are never allocated
+    rows = np.flatnonzero(exit_rate)
+    L[rows, rows] -= exit_rate[rows]
+    return L
+
+
 @dataclass(frozen=True)
 class RtpParams:
     """Tumble rate omega and domain length for the jamming pair process."""
@@ -211,14 +229,13 @@ def sticky_bm_generator(grid: Grid1D, omega: float):
         raise InvalidParameter(f"omega={omega} must be > 0")
     N = grid.n_nodes
     h = grid.h
-    L = np.zeros((N, N))
-    for i in range(1, N - 1):
-        L[i, i - 1] = L[i, i + 1] = 1.0 / h**2
-        L[i, i] = -2.0 / h**2
-    L[0, 1] = omega / h
-    L[0, 0] = -omega / h
-    L[N - 1, N - 2] = omega / h
-    L[N - 1, N - 1] = -omega / h
+    inner = np.arange(1, N - 1)
+    L = _jump_generator(N, [
+        (inner, inner - 1, 1.0 / h**2),
+        (inner, inner + 1, 1.0 / h**2),
+        (0, 1, omega / h),
+        (N - 1, N - 2, omega / h),
+    ])
 
     atoms = np.zeros(N)
     dens = np.zeros(N)
@@ -261,61 +278,41 @@ def rtp_generator(grid: Grid1D, params: RtpParams) -> SplitGenerator:
     N = grid.n_nodes
     h = grid.h
     n_states = 3 * N
-    # block offsets for v = +2, 0, -2
-    UP, MID, DOWN = 0, N, 2 * N
+    # state indices of the velocity blocks v = +2, 0, -2
+    i = np.arange(N)
+    up, mid, down = i, N + i, 2 * N + i
 
-    L_tr = np.zeros((n_states, n_states))
-    L_v = np.zeros((n_states, n_states))
+    L_tr = _jump_generator(n_states, [
+        # transport: v = +2 moves right at speed 2, blocked at x = L
+        (up[:-1], up[1:], 2.0 / h),
+        # transport: v = -2 moves left at speed 2, blocked at x = 0
+        (down[1:], down[:-1], 2.0 / h),
+        # boundary velocity jumps at rate omega (transport part)
+        (up[-1], mid[-1], omega),
+        (mid[0], up[0], omega),
+        (mid[-1], down[-1], omega),
+        (down[0], mid[0], omega),
+    ])
 
-    # transport: v = +2 moves right at speed 2, blocked at x = L
-    for i in range(N - 1):
-        L_tr[UP + i, UP + i + 1] += 2.0 / h
-        L_tr[UP + i, UP + i] -= 2.0 / h
-    # transport: v = -2 moves left at speed 2, blocked at x = 0
-    for i in range(1, N):
-        L_tr[DOWN + i, DOWN + i - 1] += 2.0 / h
-        L_tr[DOWN + i, DOWN + i] -= 2.0 / h
-    # boundary velocity jumps at rate omega (transport part)
-    L_tr[UP + N - 1, MID + N - 1] += omega
-    L_tr[UP + N - 1, UP + N - 1] -= omega
-    L_tr[MID + 0, UP + 0] += omega
-    L_tr[MID + 0, MID + 0] -= omega
-    L_tr[MID + N - 1, DOWN + N - 1] += omega
-    L_tr[MID + N - 1, MID + N - 1] -= omega
-    L_tr[DOWN + 0, MID + 0] += omega
-    L_tr[DOWN + 0, DOWN + 0] -= omega
-
-    # refresh at unit scale: v = +2 -> 0 at rate 2 away from x = L, 1 at x = L
-    for i in range(N):
-        r = 2.0 if i < N - 1 else 1.0
-        L_v[UP + i, MID + i] += r
-        L_v[UP + i, UP + i] -= r
-    # v = 0 -> +2 away from x = 0, v = 0 -> -2 away from x = L, rate 1 each
-    for i in range(N):
-        if i > 0:
-            L_v[MID + i, UP + i] += 1.0
-            L_v[MID + i, MID + i] -= 1.0
-        if i < N - 1:
-            L_v[MID + i, DOWN + i] += 1.0
-            L_v[MID + i, MID + i] -= 1.0
-    # v = -2 -> 0 at rate 2 away from x = 0, 1 at x = 0
-    for i in range(N):
-        r = 2.0 if i > 0 else 1.0
-        L_v[DOWN + i, MID + i] += r
-        L_v[DOWN + i, DOWN + i] -= r
+    L_v = _jump_generator(n_states, [
+        # refresh at unit scale: v = +2 -> 0 at rate 2 away from x = L, 1 at x = L
+        (up, mid, np.where(i < N - 1, 2.0, 1.0)),
+        # v = 0 -> +2 away from x = 0, v = 0 -> -2 away from x = L, rate 1 each
+        (mid[1:], up[1:], 1.0),
+        (mid[:-1], down[:-1], 1.0),
+        # v = -2 -> 0 at rate 2 away from x = 0, 1 at x = 0
+        (down, mid, np.where(i > 0, 2.0, 1.0)),
+    ])
 
     L_full = L_tr + omega * L_v
 
     states = tuple((i, v) for v in RTP_VELOCITIES for i in range(N))
     atoms = np.zeros(n_states)
     dens = np.zeros(n_states)
-    atoms[UP + N - 1] = 0.5
-    atoms[MID + 0] = 0.5
-    atoms[MID + N - 1] = 0.5
-    atoms[DOWN + 0] = 0.5
-    dens[UP + 1 : UP + N - 1] = omega * h / 4.0
-    dens[MID + 1 : MID + N - 1] = omega * h / 2.0
-    dens[DOWN + 1 : DOWN + N - 1] = omega * h / 4.0
+    atoms[[up[-1], mid[0], mid[-1], down[0]]] = 0.5
+    dens[up[1:-1]] = omega * h / 4.0
+    dens[mid[1:-1]] = omega * h / 2.0
+    dens[down[1:-1]] = omega * h / 4.0
     total = atoms.sum() + dens.sum()
     mu_hat = WeightedMeasure(
         states=states,
@@ -347,12 +344,12 @@ def overdamped_generator_1d(grid: Grid1D, U: Potential, x_min: float = 0.0):
     h = grid.h
     xs = x_min + grid.nodes
     Uv = np.array([U.value(np.array([x])) for x in xs])
-    L = np.zeros((N, N))
-    for i in range(N):
-        for j in (i - 1, i + 1):
-            if 0 <= j < N:
-                L[i, j] = np.exp(-(Uv[j] - Uv[i]) / 2.0) / (2.0 * h**2)
-        L[i, i] = -L[i].sum()
+    i = np.arange(N - 1)
+    # nearest-neighbour jumps i -> i + 1 and i + 1 -> i
+    source = np.concatenate([i, i + 1])
+    target = np.concatenate([i + 1, i])
+    rate = np.exp(-(Uv[target] - Uv[source]) / 2.0) / (2.0 * h**2)
+    L = _jump_generator(N, [(source, target, rate)])
     w = np.exp(Uv.min() - Uv) * h
     w /= w.sum()
     mu = WeightedMeasure(
@@ -388,38 +385,22 @@ def zigzag_generator_1d(
     xs = x_min + grid.nodes
     dU = np.array([float(np.atleast_1d(U.gradient(np.array([x])))[0]) for x in xs])
     n_states = 2 * N
-    UP, DOWN = 0, N
+    # state indices of the velocity blocks v = +1, -1
+    up, down = np.arange(N), N + np.arange(N)
 
-    L_tr = np.zeros((n_states, n_states))
-    for i in range(N):
+    L_tr = _jump_generator(n_states, [
         # upwind transport at speed 1, reflecting clamp at the edges
-        if i < N - 1:
-            L_tr[UP + i, UP + i + 1] += 1.0 / h
-            L_tr[UP + i, UP + i] -= 1.0 / h
-        else:
-            L_tr[UP + i, DOWN + i] += 1.0 / h
-            L_tr[UP + i, UP + i] -= 1.0 / h
-        if i > 0:
-            L_tr[DOWN + i, DOWN + i - 1] += 1.0 / h
-            L_tr[DOWN + i, DOWN + i] -= 1.0 / h
-        else:
-            L_tr[DOWN + i, UP + i] += 1.0 / h
-            L_tr[DOWN + i, DOWN + i] -= 1.0 / h
+        (up[:-1], up[1:], 1.0 / h),
+        (up[-1], down[-1], 1.0 / h),
+        (down[1:], down[:-1], 1.0 / h),
+        (down[0], up[0], 1.0 / h),
         # potential flips at rate (v U'(x))_+
-        up_flip = max(dU[i], 0.0)
-        down_flip = max(-dU[i], 0.0)
-        L_tr[UP + i, DOWN + i] += up_flip
-        L_tr[UP + i, UP + i] -= up_flip
-        L_tr[DOWN + i, UP + i] += down_flip
-        L_tr[DOWN + i, DOWN + i] -= down_flip
+        (up, down, np.maximum(dU, 0.0)),
+        (down, up, np.maximum(-dU, 0.0)),
+    ])
 
     # refresh Pi_v - I with the uniform law on {+1, -1}
-    L_v = np.zeros((n_states, n_states))
-    for i in range(N):
-        L_v[UP + i, DOWN + i] += 0.5
-        L_v[UP + i, UP + i] -= 0.5
-        L_v[DOWN + i, UP + i] += 0.5
-        L_v[DOWN + i, DOWN + i] -= 0.5
+    L_v = _jump_generator(n_states, [(up, down, 0.5), (down, up, 0.5)])
 
     L_full = L_tr + gamma * L_v
 
@@ -477,12 +458,9 @@ def invariance_residual(op: OperatorMatrix, exclude=()) -> float:
     reversible chains; O(h) for the upwind lifted chains.
     """
     w = op.reference_measure.weights
-    r = w @ op.entries
-    keep = np.ones(op.dim, dtype=bool)
-    for j in exclude:
-        keep[j] = False
+    r = np.delete(w @ op.entries, list(exclude))
     scale = np.abs(np.diag(op.entries)).max()
-    return float(np.abs(r[keep]).max() / max(scale, 1.0))
+    return float(np.abs(r).max() / max(scale, 1.0))
 
 
 def stationary_distribution(op: OperatorMatrix) -> np.ndarray:

@@ -22,7 +22,7 @@ up to a constant, and all scaling tests are constant-free.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -31,7 +31,7 @@ import scipy.linalg
 from .core import OperatorMatrix, Potential, inner_product
 from .errors import InvalidParameter
 from .generators import SplitGenerator, VelocityKernel
-from .spectral import Semigroup, decompose, dirichlet_form
+from .spectral import decompose
 
 __all__ = [
     "AssumptionConstants",
@@ -86,21 +86,7 @@ class AssumptionConstants:
         self.nu = rate_formula(self)
 
     def to_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "m_v": self.m_v,
-            "C1": self.C1,
-            "C2": self.C2,
-            "gamma": self.gamma,
-            "T": self.T,
-            "K": self.K,
-            "a": self.a,
-            "b": self.b,
-            "hess_L": self.hess_L,
-            "d": self.d,
-            "scaling_only": self.scaling_only,
-            "nu": self.nu,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -114,56 +100,30 @@ class LiftReport:
     probe_count: int
 
     def to_dict(self) -> dict:
-        return {
-            "first_order_residual": self.first_order_residual,
-            "second_order_residual": self.second_order_residual,
-            "antisymmetry_residual": self.antisymmetry_residual,
-            "h": self.h,
-            "probe_count": self.probe_count,
-        }
+        return asdict(self)
 
 
-def collapse_probes(
-    collapse: OperatorMatrix,
-    n_eig: int = 10,
-    n_random: int = 10,
-    seed: int = 7,
-    smoothing: float = 0.01,
-) -> list:
-    """Probe family on the collapse: leading eigenvectors + smoothed noise.
+def collapse_probes(collapse: OperatorMatrix, n_eig: int = 10) -> list:
+    """The ``n_eig`` slowest nontrivial collapse eigenvectors.
 
-    The random vectors are filtered through exp(smoothing * L) to damp
-    grid-scale roughness; every probe is normalized in L2 of the
-    collapse measure.
+    Each probe is centered and normalized in L2 of the collapse measure.
     """
     mu = collapse.reference_measure
     sd = decompose(collapse)
-    probes = []
+    out = []
     for k in range(1, min(n_eig + 1, collapse.dim)):
         v = sd.eigenvectors[:, k].real.copy()
         # fix the sign so the probe family is resolution-consistent
         lead = v[0] if abs(v[0]) > 1e-8 * np.abs(v).max() else v[np.argmax(np.abs(v))]
         if lead < 0:
             v = -v
-        probes.append(v)
-    if n_random > 0:
-        rng = np.random.default_rng(seed)
-        sg = Semigroup(collapse)
-        for _ in range(n_random):
-            z = rng.normal(size=collapse.dim)
-            probes.append(sg.apply(z, smoothing))
-    out = []
-    for p in probes:
-        p = p - mu.mean(p)
-        nrm = np.sqrt(inner_product(p, p, mu))
-        if nrm > 0:
-            out.append(p / nrm)
-    if not out:
-        raise InvalidParameter("no usable probes")
+        v = v - mu.mean(v)
+        out.append(v / np.sqrt(inner_product(v, v, mu)))
     return out
 
 
-def _check_probe_dims(split: SplitGenerator, probes):
+def _probe_block(split: SplitGenerator, probes) -> np.ndarray:
+    """Lifted probes iota p as the rows of one array."""
     if not probes:
         raise InvalidParameter("empty probe list")
     for p in probes:
@@ -172,53 +132,73 @@ def _check_probe_dims(split: SplitGenerator, probes):
                 f"probe of length {np.asarray(p).shape[0]} does not match "
                 f"{split.n_position} position nodes"
             )
+    P = np.array([np.asarray(p, dtype=float) for p in probes])
+    return np.tile(P, (1, split.n_velocity))
+
+
+def _gram(X: np.ndarray, Y: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Weighted pairings <x_i, y_j> of the rows of X and Y.
+
+    Each entry is summed exactly as :func:`inner_product` sums it.
+    """
+    return (X[:, None, :] * Y[None, :, :] * w).sum(axis=-1)
+
+
+def _whitener(G: np.ndarray, floor: float) -> np.ndarray:
+    """M with M^T G M = I on the directions where G exceeds ``floor``.
+
+    G is a symmetric positive semidefinite Gram matrix; directions whose
+    eigenvalue is at most ``floor`` (vanishing to rounding) are dropped,
+    so M may have fewer columns than G, or none.
+    """
+    vals, vecs = np.linalg.eigh(0.5 * (G + G.T))
+    keep = vals > floor
+    return vecs[:, keep] / np.sqrt(vals[keep])
+
+
+def _lifted_span(split: SplitGenerator, probes):
+    """Rows A spanning the lifted probes, orthonormal in L2(mu_hat); L_hat A; W.
+
+    Directions in which the probes are linearly dependent are dropped.
+    """
+    A = _probe_block(split, probes)
+    w = split.full.reference_measure.weights
+    G = _gram(A, A, w)
+    A = _whitener(G, 1e-12 * float(np.diag(G).max())).T @ A
+    return A, A @ split.full.entries.T, w
 
 
 def check_first_order(split: SplitGenerator, collapse: OperatorMatrix, probes) -> float:
-    """Largest relative |<L_hat (f o pi), g o pi>| over probe pairs.
+    """Largest relative |<L_hat (f o pi), g o pi>| over the probe span.
 
-    Each pair is normalized by ||L_hat (f o pi)|| * ||g o pi|| so the
-    statistic is scale-free; pairs where either factor vanishes (e.g.
-    constant f) contribute zero.
+    The supremum of |<L_hat F, G>| / (||L_hat F|| ||G||) over lifted F, G
+    in the span is sigma_max(G_B^{-1/2} B^T W A) for an orthonormal
+    lifted basis A, B = L_hat A and G_B = B^T W B.  Directions where
+    L_hat F vanishes to rounding (e.g. constant f) are dropped, so a span
+    with no other direction gives zero.
     """
-    _check_probe_dims(split, probes)
-    op = split.full
-    mu = op.reference_measure
-    lifted = [split.lift(np.asarray(p, dtype=float)) for p in probes]
-    applied = [op.apply(F) for F in lifted]
-    norms_g = [np.sqrt(inner_product(G, G, mu)) for G in lifted]
-    norms_lf = [np.sqrt(inner_product(LF, LF, mu)) for LF in applied]
-    worst = 0.0
-    for LF, nlf in zip(applied, norms_lf):
-        if nlf == 0.0:
-            continue
-        for G, ng in zip(lifted, norms_g):
-            if ng == 0.0:
-                continue
-            worst = max(worst, abs(inner_product(LF, G, mu)) / (nlf * ng))
-    return worst
+    A, B, w = _lifted_span(split, probes)
+    floor = (1e-12 * float(np.abs(split.full.entries).max())) ** 2
+    M = _whitener(_gram(B, B, w), floor)
+    return float(np.linalg.norm(M.T @ _gram(B, A, w), 2))
 
 
 def check_second_order(split: SplitGenerator, collapse: OperatorMatrix, probes) -> float:
-    """Largest relative defect of (1/2)<L_hat f o pi, L_hat g o pi> = E(f, g).
+    """Largest relative defect of (1/2)||L_hat f o pi||^2 = E(f, f) over the span.
 
-    Each pair's defect is normalized by max(1, ||L_hat f o pi|| *
-    ||L_hat g o pi|| / 2, |E(f, g)|) so rough probes do not dominate
-    through sheer magnitude.
+    This is the spectral radius of E^{-1/2} ((1/2) B^T W B - E) E^{-1/2},
+    with B = L_hat A for a lifted basis A of the span, W the lifted
+    measure and E the collapse energy Gram matrix.  It also bounds every
+    pair: |(1/2)<L_hat f o pi, L_hat g o pi> - E(f, g)| is at most the
+    residual times sqrt(E(f, f) E(g, g)).  Directions of zero energy
+    (constants, to rounding) are dropped.
     """
-    _check_probe_dims(split, probes)
-    mu = split.full.reference_measure
-    fs = [np.asarray(p, dtype=float) for p in probes]
-    applied = [split.full.apply(split.lift(f)) for f in fs]
-    norms = [np.sqrt(inner_product(LF, LF, mu)) for LF in applied]
-    worst = 0.0
-    for i, f in enumerate(fs):
-        for j, g in enumerate(fs):
-            lhs = 0.5 * inner_product(applied[i], applied[j], mu)
-            rhs = dirichlet_form(collapse, f, g)
-            denom = max(1.0, 0.5 * norms[i] * norms[j], abs(rhs))
-            worst = max(worst, abs(lhs - rhs) / denom)
-    return worst
+    A, B, w = _lifted_span(split, probes)
+    P = A[:, : split.n_position]
+    E = -_gram(P, P @ collapse.entries.T, collapse.reference_measure.weights)
+    M = _whitener(E, 1e-12 * float(np.abs(collapse.entries).max()))
+    D = M.T @ (0.5 * _gram(B, B, w) - E) @ M
+    return float(np.abs(np.linalg.eigvalsh(0.5 * (D + D.T))).max(initial=0.0))
 
 
 def transport_test_functions(split: SplitGenerator, n_modes: int = 5) -> list:
@@ -261,26 +241,18 @@ def check_weak_antisymmetry(
     the operator); each pair is normalized by ||L_tr f o pi|| * ||u|| +
     ||f o pi|| * ||L_tr u||.
     """
-    _check_probe_dims(split, probes)
+    F = _probe_block(split, probes)
     op = split.transport
-    mu = op.reference_measure
+    w = op.reference_measure.weights
     us = transport_test_functions(split) if test_functions is None else test_functions
-    worst = 0.0
-    for p in probes:
-        F = split.lift(np.asarray(p, dtype=float))
-        LF = op.apply(F)
-        nF = np.sqrt(inner_product(F, F, mu))
-        nLF = np.sqrt(inner_product(LF, LF, mu))
-        for u in us:
-            Lu = op.apply(u)
-            nu_ = np.sqrt(inner_product(u, u, mu))
-            nLu = np.sqrt(inner_product(Lu, Lu, mu))
-            denom = nLF * nu_ + nF * nLu
-            if denom == 0.0:
-                continue
-            val = inner_product(LF, u, mu) + inner_product(F, Lu, mu)
-            worst = max(worst, abs(val) / denom)
-    return worst
+    U = np.array(us)
+    LF = np.array([op.apply(f) for f in F])
+    LU = np.array([op.apply(u) for u in U])
+    num = np.abs(_gram(LF, U, w) + _gram(F, LU, w))
+    nF, nLF, nU, nLU = (np.sqrt(np.diag(_gram(X, X, w))) for X in (F, LF, U, LU))
+    denom = np.outer(nLF, nU) + np.outer(nF, nLU)
+    ratios = num[denom > 0.0] / denom[denom > 0.0]
+    return float(ratios.max(initial=0.0))
 
 
 def lift_report(
@@ -390,5 +362,10 @@ def rate_formula(constants: AssumptionConstants) -> float:
 
 
 def optimal_gamma(constants: AssumptionConstants) -> float:
-    """Refresh rate gamma* = (1 + C1) sqrt(m) maximizing the rate scaling."""
-    return (1.0 + constants.C1) * np.sqrt(constants.m)
+    """Refresh rate gamma* maximizing :func:`rate_formula`.
+
+    The formula is gamma / (gamma^2 C2^2 + c) with
+    c = C1^2 + (1/m_v)(1 + 1/(m T^2)), so its argmax is sqrt(c) / C2.
+    """
+    c = constants
+    return float(np.sqrt(c.C1**2 + (1.0 + 1.0 / (c.m * c.T**2)) / c.m_v) / c.C2)

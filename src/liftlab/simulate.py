@@ -18,8 +18,6 @@ integrated time, and replica-based empirical decay rates.
 
 from __future__ import annotations
 
-import struct
-
 import numpy as np
 
 from .core import Grid1D, Potential, RngStream, WeightedMeasure
@@ -52,7 +50,6 @@ EVENT_KINDS = (
     "forward-jump",
     "end",
 )
-_KIND_CODE = {k: i for i, k in enumerate(EVENT_KINDS)}
 
 
 class Trajectory:
@@ -112,23 +109,6 @@ class Trajectory:
             vs = ",".join(repr(float(v)) for v in self.velocities[i])
             lines.append(f"{float(self.times[i])!r},{xs},{vs},{self.kinds[i]}")
         atomic_write_text(path, "\n".join(lines) + "\n")
-
-    def to_binary(self, path):
-        """Compact event log: little-endian f64 time, x, v fields, u8 kind."""
-        d = self.dim
-        rec = struct.Struct("<" + "d" * (1 + 2 * d) + "B")
-        with open(path, "wb") as fh:
-            fh.write(struct.pack("<4sHH", b"TRAJ", 1, d))
-            fh.write(struct.pack("<d", self.t_end))
-            for i in range(len(self)):
-                fh.write(
-                    rec.pack(
-                        self.times[i],
-                        *self.positions[i],
-                        *self.velocities[i],
-                        _KIND_CODE[self.kinds[i]],
-                    )
-                )
 
 
 def simulate_rtp(

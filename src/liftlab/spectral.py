@@ -165,7 +165,11 @@ class Semigroup:
         # validate against the Pade route on a test vector at the
         # relaxation timescale of the slowest nontrivial mode (the
         # regime the semigroup is used in; eigen-route noise from
-        # ill-conditioned fast modes is damped there)
+        # ill-conditioned fast modes is damped there).  This cutoff is
+        # not SpectralData.gap: the zero eigenvalue's rounding noise
+        # exceeds 1e-12 at omega = 200, so the gap rule would turn on
+        # the validation there, one dense expm at dim 2406.  Aligning
+        # the two waits for the sparse propagator.
         nonzero = np.abs(vals.real)[np.abs(vals.real) > 1e-12]
         gap = float(nonzero.min()) if nonzero.size else 1.0
         self._diagonalizable = self._eig_route_agrees(gap)

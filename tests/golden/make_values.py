@@ -5,12 +5,16 @@ sizes and fixed seeds; ``tests/test_golden.py`` compares its result with
 the committed ``values.json`` (floats at rtol 1e-9, integers exactly).
 
 Regenerate only when a change moves a value on purpose, and say in
-CHANGES.md which values moved, by how much and why:
+CHANGES.md which values moved, by how much and why.  ``--diff`` lists
+the moved values (path, old, new, relative change) and writes nothing:
 
+    PYTHONPATH=src python tests/golden/make_values.py --diff
     PYTHONPATH=src python tests/golden/make_values.py
 """
 
+import argparse
 import json
+import math
 import os
 
 import numpy as np
@@ -35,6 +39,39 @@ from liftlab.spectral import spectral_gap
 from liftlab.studies import gamma_study, rtp_scaling_study
 
 VALUES_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "values.json")
+RTOL = 1e-9
+
+
+def leaves(obj, prefix=""):
+    """(path, value) pairs of a nested dict/list, keys in sorted order."""
+    if isinstance(obj, dict):
+        for key in sorted(obj):
+            yield from leaves(obj[key], f"{prefix}/{key}")
+    elif isinstance(obj, list):
+        for i, item in enumerate(obj):
+            yield from leaves(item, f"{prefix}[{i}]")
+    else:
+        yield prefix, obj
+
+
+def moved(expected, actual) -> list:
+    """(path, old, new) for each leaf that differs or exists on one side only.
+
+    Floats agree to rtol RTOL (BLAS thread counts move some of them by
+    about 1e-11); every other value, such as an event count, exactly.
+    """
+    old, new = dict(leaves(expected)), dict(leaves(actual))
+    out = []
+    for path in list(old) + [p for p in new if p not in old]:
+        if path in old and path in new:
+            a, b = old[path], new[path]
+            if isinstance(a, float) or isinstance(b, float):
+                if math.isclose(b, a, rel_tol=RTOL, abs_tol=0.0):
+                    continue
+            elif a == b:
+                continue
+        out.append((path, old.get(path), new.get(path)))
+    return out
 
 
 def _rtp_scaling():
@@ -47,7 +84,7 @@ def _rtp_scaling():
 
 
 def _report(split, collapse, h):
-    rep = lift_report(split, collapse, collapse_probes(collapse, seed=42), h)
+    rep = lift_report(split, collapse, collapse_probes(collapse), h)
     return {
         "first_order_residual": rep.first_order_residual,
         "second_order_residual": rep.second_order_residual,
@@ -131,8 +168,22 @@ def compute() -> dict:
     }
 
 
+def _relative(old, new):
+    numbers = all(isinstance(x, (int, float)) for x in (old, new))
+    return f"{abs(new - old) / abs(old):.3e}" if numbers and old != 0 else "-"
+
+
 if __name__ == "__main__":
-    with open(VALUES_PATH, "w") as fh:
-        json.dump(compute(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {VALUES_PATH}")
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--diff", action="store_true",
+                        help="print the values that moved; write nothing")
+    if parser.parse_args().diff:
+        with open(VALUES_PATH) as fh:
+            expected = json.load(fh)
+        for path, old, new in moved(expected, json.loads(json.dumps(compute()))):
+            print(f"{path}: {old!r} -> {new!r} (relative change {_relative(old, new)})")
+    else:
+        with open(VALUES_PATH, "w") as fh:
+            json.dump(compute(), fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        print(f"wrote {VALUES_PATH}")

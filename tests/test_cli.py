@@ -192,6 +192,17 @@ class TestMainExitCodes:
         payload = json.loads(out.read_text())
         assert payload["m_v"] == pytest.approx(2.0)
 
+    def test_lift_check_does_not_depend_on_seed(self, capsys, tmp_path):
+        reports = []
+        for seed in (1, 42, 1000):
+            out = tmp_path / f"lift-{seed}.json"
+            code = main(["lift-check", "--process", "zigzag", "--n-interior", "60",
+                         "--seed", str(seed), "--output", str(out)])
+            assert code == 0
+            capsys.readouterr()
+            reports.append(json.loads(out.read_text())["report"])
+        assert reports[0] == reports[1] == reports[2]
+
     def test_divergence_check_smoke(self, capsys, tmp_path):
         out = tmp_path / "div.json"
         code = main(["divergence-check", "--n-interior", "60", "--n-rhs", "3",

@@ -187,3 +187,77 @@ class TestModels:
         ref_c, _ = overdamped_generator_1d(grid, U, x_min=-width)
         assert np.array_equal(collapse.entries, ref_c.entries)
         assert split.n_position == collapse.dim
+
+
+def _loop_generator(dim, jumps):
+    """Reference assembly, one jump at a time: +rate at (i, j), -rate at (i, i)."""
+    L = np.zeros((dim, dim))
+    for i, j, rate in jumps:
+        L[i, j] += rate
+        L[i, i] -= rate
+    return L
+
+
+@pytest.mark.parametrize("n", [2, 3, 10, 61])
+class TestJumpListsMatchLoops:
+    """The vectorized builders equal a per-node loop entry for entry."""
+
+    def test_sticky_bm(self, n):
+        grid = make_grid(1.3, n)
+        N, h, omega = grid.n_nodes, grid.h, 0.7
+        jumps = [(i, i + s, 1.0 / h**2) for i in range(1, N - 1) for s in (-1, 1)]
+        jumps += [(0, 1, omega / h), (N - 1, N - 2, omega / h)]
+        op, _ = sticky_bm_generator(grid, omega)
+        assert np.array_equal(op.entries, _loop_generator(N, jumps))
+
+    @pytest.mark.parametrize("omega", [0.01, 1.0, 200.0])
+    def test_rtp(self, n, omega):
+        grid = make_grid(1.0, n)
+        N, h = grid.n_nodes, grid.h
+        up, mid, down = 0, N, 2 * N
+        transport = [(up + N - 1, mid + N - 1, omega), (mid, up, omega),
+                     (mid + N - 1, down + N - 1, omega), (down, mid, omega)]
+        refresh = []
+        for i in range(N):
+            if i < N - 1:
+                transport.append((up + i, up + i + 1, 2.0 / h))
+                refresh.append((mid + i, down + i, 1.0))
+            if i > 0:
+                transport.append((down + i, down + i - 1, 2.0 / h))
+                refresh.append((mid + i, up + i, 1.0))
+            refresh.append((up + i, mid + i, 2.0 if i < N - 1 else 1.0))
+            refresh.append((down + i, mid + i, 2.0 if i > 0 else 1.0))
+        split = rtp_generator(grid, RtpParams(omega=omega, length_L=1.0))
+        L_tr, L_v = _loop_generator(3 * N, transport), _loop_generator(3 * N, refresh)
+        assert np.array_equal(split.transport.entries, L_tr)
+        assert np.array_equal(split.refresh.entries, L_v)
+        assert np.array_equal(split.full.entries, L_tr + omega * L_v)
+
+    def test_overdamped(self, n):
+        U = quadratic_potential([2.5])
+        grid = make_grid(3.0, n)
+        N, h = grid.n_nodes, grid.h
+        Uv = [U.value(np.array([x])) for x in grid.nodes - 1.5]
+        jumps = [(i, j, np.exp(-(Uv[j] - Uv[i]) / 2.0) / (2.0 * h**2))
+                 for i in range(N) for j in (i - 1, i + 1) if 0 <= j < N]
+        op, _ = overdamped_generator_1d(grid, U, x_min=-1.5)
+        assert np.array_equal(op.entries, _loop_generator(N, jumps))
+
+    @pytest.mark.parametrize("m,gamma", [(1.0, 1.0), (0.5, 0.0), (4.0, 22.4)])
+    def test_zigzag(self, n, m, gamma):
+        split, _, h = zigzag_model(m, gamma, n)
+        N = split.n_position
+        width = 4.0 / np.sqrt(m)
+        xs = -width + make_grid(2.0 * width, n).nodes
+        up, down = 0, N
+        transport, refresh = [], []
+        for i in range(N):
+            transport.append((up + i, up + i + 1 if i < N - 1 else down + i, 1.0 / h))
+            transport.append((down + i, down + i - 1 if i > 0 else up + i, 1.0 / h))
+            transport.append((up + i, down + i, max(m * xs[i], 0.0)))
+            transport.append((down + i, up + i, max(-m * xs[i], 0.0)))
+            refresh += [(up + i, down + i, 0.5), (down + i, up + i, 0.5)]
+        L_tr, L_v = _loop_generator(2 * N, transport), _loop_generator(2 * N, refresh)
+        assert np.array_equal(split.transport.entries, L_tr)
+        assert np.array_equal(split.refresh.entries, L_v)
+        assert np.array_equal(split.full.entries, L_tr + gamma * L_v)

@@ -1,12 +1,12 @@
 """Pinned values from tests/golden/values.json must reproduce.
 
 Floats agree to rtol 1e-9 (BLAS thread counts move some of them by about
-1e-11); integers such as event counts agree exactly.
+1e-11); integers such as event counts agree exactly.  The comparison
+lives in the script that writes the values, ``make_values.moved``.
 """
 
 import importlib.util
 import json
-import math
 import os
 
 import pytest
@@ -22,39 +22,24 @@ def _load_script():
     return module
 
 
-def _leaves(obj, prefix=""):
-    if isinstance(obj, dict):
-        for key in sorted(obj):
-            yield from _leaves(obj[key], f"{prefix}/{key}")
-    elif isinstance(obj, list):
-        for i, item in enumerate(obj):
-            yield from _leaves(item, f"{prefix}[{i}]")
-    else:
-        yield prefix, obj
-
-
 @pytest.fixture(scope="module")
 def golden():
     script = _load_script()
     with open(script.VALUES_PATH) as fh:
         expected = json.load(fh)
     actual = json.loads(json.dumps(script.compute()))
-    return expected, actual
+    return script, expected, actual
 
 
 def test_same_layout(golden):
-    expected, actual = golden
-    assert [p for p, _ in _leaves(actual)] == [p for p, _ in _leaves(expected)]
+    script, expected, actual = golden
+    assert [p for p, _ in script.leaves(actual)] == [p for p, _ in script.leaves(expected)]
 
 
 def test_values_match(golden):
-    expected, actual = golden
-    bad = []
-    for (path, want), (_, got) in zip(_leaves(expected), _leaves(actual)):
-        if isinstance(want, float) or isinstance(got, float):
-            ok = math.isclose(got, want, rel_tol=1e-9, abs_tol=0.0)
-        else:
-            ok = got == want
-        if not ok:
-            bad.append(f"{path}: expected {want!r}, got {got!r}")
+    script, expected, actual = golden
+    bad = [
+        f"{path}: expected {want!r}, got {got!r}"
+        for path, want, got in script.moved(expected, actual)
+    ]
     assert not bad, "\n".join(bad)

@@ -63,15 +63,6 @@ class TestTrajectory:
         t_back = float(lines[2].split(",")[0])
         assert t_back == 0.0
 
-    def test_binary_format(self, tmp_path):
-        traj = self._traj()
-        path = tmp_path / "t.bin"
-        traj.to_binary(str(path))
-        blob = path.read_bytes()
-        assert blob[:4] == b"TRAJ"
-        # header 8 + 8 bytes, then (1 + 2) * 8 + 1 per event in 1D
-        assert len(blob) == 16 + len(traj) * 25
-
 
 class TestAffineArrival:
     @settings(max_examples=60, deadline=None)

@@ -148,6 +148,10 @@ _SCHEMAS = {
 }
 
 
+# the subcommands whose output depends on --seed
+_SEEDED = ("simulate", "divergence-check", "study")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Validated configuration for one CLI invocation."""
@@ -157,8 +161,10 @@ class RunConfig:
 
     @property
     def hash(self) -> str:
-        """Hash of the computation: every value except the artifact path."""
-        values = {k: v for k, v in self.values.items() if k != "output"}
+        """Hash of the computation: every value except the artifact path,
+        and except the seed where the subcommand draws no random numbers."""
+        skip = {"output"} if self.subcommand in _SEEDED else {"output", "seed"}
+        values = {k: v for k, v in self.values.items() if k not in skip}
         return config_hash({"subcommand": self.subcommand, **values})
 
     def render(self) -> list:

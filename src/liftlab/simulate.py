@@ -11,6 +11,10 @@ triggers a full velocity resample from the gradient-tilted law, drawn
 rejection-free as a Rayleigh component against the gradient direction
 plus an independent Gaussian orthogonal part.
 
+Many short stationary RTP replicas, read only at a few grid times, are
+advanced together in numpy lockstep over the event index
+(:func:`rtp_grid_positions`), with the same exact law.
+
 Diagnostics: exact sojourn-time occupation measures (boundary atoms
 kept separate from histogram cells), autocorrelation with Geyer-style
 integrated time, and replica-based empirical decay rates.
@@ -30,6 +34,7 @@ __all__ = [
     "Trajectory",
     "simulate_rtp",
     "rtp_stationary_state",
+    "rtp_grid_positions",
     "rtp_occupation",
     "quadratic_rate_bound",
     "lipschitz_rate_bound",
@@ -50,6 +55,9 @@ EVENT_KINDS = (
     "forward-jump",
     "end",
 )
+
+
+_CSV_CHUNK_ROWS = 256
 
 
 class Trajectory:
@@ -104,10 +112,14 @@ class Trajectory:
         header += "," + ",".join(f"v{i}" for i in range(self.dim)) + ",kind"
         lines = [] if comment is None else [f"# {comment}"]
         lines.append(header)
-        for i in range(len(self)):
-            xs = ",".join(repr(float(v)) for v in self.positions[i])
-            vs = ",".join(repr(float(v)) for v in self.velocities[i])
-            lines.append(f"{float(self.times[i])!r},{xs},{vs},{self.kinds[i]}")
+        # one repr per value, column by column; tolist() yields Python
+        # floats, whose repr is the shortest round-trip form.  Rows go in
+        # chunks so that only one chunk's floats are alive at a time.
+        for i in range(0, len(self), _CSV_CHUNK_ROWS):
+            rows = slice(i, i + _CSV_CHUNK_ROWS)
+            numeric = [self.times[rows], *self.positions[rows].T, *self.velocities[rows].T]
+            columns = [map(repr, col.tolist()) for col in numeric]
+            lines.extend(map(",".join, zip(*columns, self.kinds[rows])))
         atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -206,6 +218,60 @@ def rtp_stationary_state(params: RtpParams, rng: RngStream):
         return 0.0, -2
     x = float(L * rng.uniform())
     return x, (2, 0, -2)[k - 4]
+
+
+def rtp_grid_positions(params: RtpParams, t_grid, streams, block: int = 1024) -> np.ndarray:
+    """Positions of stationary RTP replicas at the grid times, in lockstep.
+
+    Replica i starts from :func:`rtp_stationary_state` drawn from
+    ``streams[i]``; its holding times (exponential, rate 2 omega) and
+    tumble signs then come ``block`` values at a time from two separate
+    children of that stream, so no value depends on the block size or on
+    the other replicas.  All replicas advance together over the event
+    index: each grid time in the holding interval [t, t + tau) reads
+    clip(x + v (t_g - t), 0, L), then x moves to clip(x + v tau, 0, L)
+    and v jumps to 0 from +-2 and to +-2 from 0.  The velocity chain
+    never reads x and the clamp is the jamming, so this is the exact law
+    of :func:`simulate_rtp` with no time step.  Returns an array of shape
+    (len(streams), len(t_grid)).
+    """
+    t_grid = np.asarray(t_grid, dtype=float)
+    if t_grid.ndim != 1 or t_grid.size == 0:
+        raise InvalidParameter("t_grid must be a non-empty 1-D array")
+    if t_grid[0] < 0.0 or (np.diff(t_grid) < 0.0).any():
+        raise InvalidParameter("t_grid must be non-negative and non-decreasing")
+    if block < 1:
+        raise InvalidParameter(f"block={block} must be >= 1")
+    rate, L = 2.0 * params.omega, params.length_L
+    n, n_t = len(streams), t_grid.size
+    x, v = np.zeros(n), np.zeros(n)
+    children = []
+    for i, stream in enumerate(streams):
+        x[i], v[i] = rtp_stationary_state(params, stream)
+        children.append(stream.split(2))
+    out = np.empty((n, n_t))
+    t = np.zeros(n)
+    nxt = np.zeros(n, dtype=np.intp)  # index of each replica's next unread grid time
+    grid_ext = np.append(t_grid, np.inf)
+    t_read = grid_ext[nxt]
+    while (nxt < n_t).any():
+        taus = np.stack([hold.exponential(rate, size=block) for hold, _ in children], axis=1)
+        signs = np.stack([tumble.uniform(size=block) for _, tumble in children], axis=1)
+        signs = np.where(signs < 0.5, 2.0, -2.0)
+        for tau, sign in zip(taus, signs):
+            t_next = t + tau
+            hit = t_read < t_next
+            while hit.any():
+                r = np.flatnonzero(hit)
+                g = nxt[r]
+                out[r, g] = np.clip(x[r] + v[r] * (t_grid[g] - t[r]), 0.0, L)
+                nxt[r] += 1
+                t_read[r] = grid_ext[nxt[r]]
+                hit[r] = t_read[r] < t_next[r]
+            x = np.clip(x + v * tau, 0.0, L)
+            v = np.where(v != 0.0, 0.0, sign)
+            t = t_next
+    return out
 
 
 def rtp_occupation(traj: Trajectory, grid: Grid1D) -> WeightedMeasure:
@@ -526,18 +592,23 @@ def autocorrelation(series, dt: float, max_lag: int):
     return acf, float(dt * (1.0 + 2.0 * s))
 
 
-def empirical_decay_rate(run_replica, n_replicas: int, t_grid, rng: RngStream) -> float:
+def empirical_decay_rate(run_replicas, n_replicas: int, t_grid, rng: RngStream) -> float:
     """Decay rate from replica-averaged stationary autocovariance.
 
-    run_replica(stream, t_grid) returns the centered observable along
-    one stationary-start trajectory at the grid times.  The estimator
-    regresses log |autocovariance(t)| against t over the window where
-    the signal exceeds three times its Monte Carlo standard error;
-    raises NumericalFailure when fewer than three points survive.
+    run_replicas(streams, t_grid) gets one split stream per replica and
+    returns the (n_replicas, len(t_grid)) matrix of the centered
+    observable along each stationary-start trajectory at the grid
+    times.  The estimator regresses log |autocovariance(t)| against t
+    over the window where the signal exceeds three times its Monte Carlo
+    standard error; raises NumericalFailure when fewer than three points
+    survive.
     """
     t_grid = np.asarray(t_grid, dtype=float)
-    streams = rng.split(n_replicas)
-    Y = np.array([run_replica(s, t_grid) for s in streams])
+    Y = np.asarray(run_replicas(rng.split(n_replicas), t_grid), dtype=float)
+    if Y.shape != (n_replicas, t_grid.size):
+        raise InvalidParameter(
+            f"replica runner returned shape {Y.shape}, expected {(n_replicas, t_grid.size)}"
+        )
     prod = Y * Y[:, :1]
     acov = prod.mean(axis=0)
     sigma = prod.std(axis=0, ddof=1) / np.sqrt(n_replicas)

@@ -11,6 +11,8 @@ the configuration hash.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from . import __version__
@@ -22,9 +24,8 @@ from .lift_check import assumption_constants, optimal_gamma, rate_formula
 from .flow_poincare import best_nu, lifted_probe_family, lifting_upper_bound_check
 from .simulate import (
     empirical_decay_rate,
-    rtp_stationary_state,
+    rtp_grid_positions,
     simulate_forward,
-    simulate_rtp,
     simulate_zigzag,
 )
 from .spectral import Semigroup, spectral_gap
@@ -110,11 +111,8 @@ def _rtp_nu_sim(omega: float, L: float, nu_guess: float, seed: int, n_replicas: 
     c = 1.0 / (2.0 + omega * L)
     mean_x = c * L + omega * c * L * L / 2.0
 
-    def run(stream, t_grid):
-        x0, v0 = rtp_stationary_state(params, stream)
-        traj = simulate_rtp(params, x0, v0, float(t_grid[-1]) * (1 + 1e-12) + 1e-9, stream)
-        xs, _ = traj.sample_path(t_grid)
-        return xs[:, 0] - mean_x
+    def run(streams, t_grid):
+        return rtp_grid_positions(params, t_grid, streams) - mean_x
 
     horizon = 2.5 / max(nu_guess, 1e-6)
     t_grid = np.linspace(0.0, horizon, 12)
@@ -134,9 +132,10 @@ def rtp_scaling_study(
     """Sweep omega: spectral and simulated rates with regime slopes.
 
     Per omega the discretized pair process yields nu_hat (flow ratio
-    minimum) and the event-driven simulator yields nu_sim (replica
-    autocovariance regression); every row records the collapsed gap and
-    whether the lifting upper bound nu <= (1 + log C) sqrt(2 m) holds.
+    minimum) and the exact sampler, all replicas advanced in lockstep,
+    yields nu_sim (replica autocovariance regression); every row
+    records the collapsed gap and whether the lifting upper bound
+    nu <= (1 + log C) sqrt(2 m) holds.
     Log-log slopes are fitted on the sub-grids omega L <= 0.3 and
     omega L >= 3.
     """
@@ -202,32 +201,22 @@ def _zigzag_discrete_nu(m: float, gamma: float, n_interior: int):
     return spectral_gap(split.full)
 
 
-def _zigzag_sim_nu(m: float, gamma: float, seed: int, n_replicas: int):
+def _gaussian_sim_nu(process: str, m: float, gamma: float, seed: int, n_replicas: int):
+    # one event-driven trajectory per replica stream, started from the
+    # Gaussian target N(0, 1/m); "zigzag" or "forward" picks the sampler
     U = quadratic_potential([m])
 
-    def run(stream, t_grid):
-        x0 = stream.gaussian(sd=1.0 / np.sqrt(m), size=1)
-        traj = simulate_zigzag(
-            U, "hypercube", gamma, x0, float(t_grid[-1]) * (1 + 1e-12) + 1e-9, stream
-        )
-        xs, _ = traj.sample_path(t_grid)
-        return xs[:, 0]
-
-    horizon = 3.0 / np.sqrt(m)
-    t_grid = np.linspace(0.0, horizon, 12)
-    return empirical_decay_rate(run, n_replicas, t_grid, RngStream(seed))
-
-
-def _forward_sim_nu(m: float, gamma: float, seed: int, n_replicas: int):
-    U = quadratic_potential([m])
-
-    def run(stream, t_grid):
-        x0 = stream.gaussian(sd=1.0 / np.sqrt(m), size=1)
-        traj = simulate_forward(
-            U, gamma, x0, float(t_grid[-1]) * (1 + 1e-12) + 1e-9, stream
-        )
-        xs, _ = traj.sample_path(t_grid)
-        return xs[:, 0]
+    def run(streams, t_grid):
+        t_end = float(t_grid[-1]) * (1 + 1e-12) + 1e-9
+        Y = np.empty((len(streams), t_grid.size))
+        for i, stream in enumerate(streams):
+            x0 = stream.gaussian(sd=1.0 / np.sqrt(m), size=1)
+            if process == "zigzag":
+                traj = simulate_zigzag(U, "hypercube", gamma, x0, t_end, stream)
+            else:
+                traj = simulate_forward(U, gamma, x0, t_end, stream)
+            Y[i] = traj.sample_path(t_grid)[0][:, 0]
+        return Y
 
     horizon = 3.0 / np.sqrt(m)
     t_grid = np.linspace(0.0, horizon, 12)
@@ -236,8 +225,8 @@ def _forward_sim_nu(m: float, gamma: float, seed: int, n_replicas: int):
 
 _GAMMA_PROCESSES = {
     "zigzag_1d_discrete": ("zigzag_hypercube", _zigzag_discrete_nu),
-    "zigzag_sim": ("zigzag_hypercube", _zigzag_sim_nu),
-    "forward_sim": ("forward", _forward_sim_nu),
+    "zigzag_sim": ("zigzag_hypercube", partial(_gaussian_sim_nu, "zigzag")),
+    "forward_sim": ("forward", partial(_gaussian_sim_nu, "forward")),
 }
 
 

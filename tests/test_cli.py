@@ -203,6 +203,19 @@ class TestMainExitCodes:
             reports.append(json.loads(out.read_text())["report"])
         assert reports[0] == reports[1] == reports[2]
 
+    def test_seed_left_out_of_hash_where_unused(self, capsys, tmp_path):
+        texts = []
+        for seed in (1, 42):
+            out = tmp_path / f"lift-{seed}.json"
+            code = main(["lift-check", "--process", "zigzag", "--n-interior", "60",
+                         "--seed", str(seed), "--output", str(out)])
+            assert code == 0
+            capsys.readouterr()
+            texts.append(out.read_bytes())
+        assert texts[0] == texts[1]
+        for sub in ("simulate", "divergence-check", "study"):
+            assert RunConfig(sub, {"seed": 1}).hash != RunConfig(sub, {"seed": 42}).hash
+
     def test_divergence_check_smoke(self, capsys, tmp_path):
         out = tmp_path / "div.json"
         code = main(["divergence-check", "--n-interior", "60", "--n-rhs", "3",

@@ -15,6 +15,7 @@ from liftlab.simulate import (
     empirical_decay_rate,
     lipschitz_rate_bound,
     quadratic_rate_bound,
+    rtp_grid_positions,
     rtp_occupation,
     rtp_stationary_state,
     sample_velocity,
@@ -62,6 +63,25 @@ class TestTrajectory:
         assert len(lines) == 2 + len(traj)
         t_back = float(lines[2].split(",")[0])
         assert t_back == 0.0
+
+
+    def test_csv_matches_row_by_row_reference(self, tmp_path):
+        traj = Trajectory(
+            [0.0, 1e-300, 0.1 + 0.2, 1e17],
+            [[-0.0, 1e17], [1e-300, -2.5], [1.0 / 3.0, 0.0], [-1e-7, 123456789.125]],
+            [[1.0, -0.0], [-1.0, 1e-300], [2.0 / 3.0, 1e17], [0.5, -3.0]],
+            ["start", "flip", "refresh", "end"],
+            1e17,
+        )
+        path = tmp_path / "t.csv"
+        traj.to_csv(str(path), comment="c")
+        ref = ["# c", "t,x0,x1,v0,v1,kind"]
+        for i in range(len(traj)):
+            xs = ",".join(repr(float(v)) for v in traj.positions[i])
+            vs = ",".join(repr(float(v)) for v in traj.velocities[i])
+            ref.append(f"{float(traj.times[i])!r},{xs},{vs},{traj.kinds[i]}")
+        assert path.read_text() == "\n".join(ref) + "\n"
+        assert "-0.0,1e+17" in path.read_text()
 
 
 class TestAffineArrival:
@@ -157,6 +177,59 @@ class TestRtpSimulation:
         assert at_L_up == pytest.approx(0.5 * c, abs=0.01)
         interior = np.mean([0.0 < x < 1.0 for x, v in draws])
         assert interior == pytest.approx(2.0 * c, abs=0.01)
+
+
+class TestRtpGridPositions:
+    @staticmethod
+    def _event_driven(p, t_grid, streams):
+        # the reference: one simulate_rtp trajectory per stream, read at t_grid
+        t_end = float(t_grid[-1]) * (1 + 1e-12) + 1e-9
+        rows = []
+        for stream in streams:
+            x0, v0 = rtp_stationary_state(p, stream)
+            rows.append(simulate_rtp(p, x0, v0, t_end, stream).sample_path(t_grid)[0][:, 0])
+        return np.array(rows)
+
+    @pytest.mark.parametrize("omega, n", [(1.0, 4000), (25.0, 1500)])
+    def test_same_law_as_event_driven_sampler(self, omega, n):
+        # two-sample z-scores of the mean position and of the centered
+        # autocovariance x~(t) x~(0) at every grid time; the stationary
+        # mean position on [0, 1] is 1/2 by reflection symmetry
+        p = RtpParams(omega=omega, length_L=1.0)
+        t_grid = np.linspace(0.0, 3.0, 12)
+        lockstep = rtp_grid_positions(p, t_grid, RngStream(5).split(n))
+        events = self._event_driven(p, t_grid, RngStream(6).split(n))
+        for stat in (lambda X: X, lambda X: (X - 0.5) * (X[:, :1] - 0.5)):
+            a, b = stat(lockstep), stat(events)
+            se = np.sqrt((a.var(axis=0, ddof=1) + b.var(axis=0, ddof=1)) / n)
+            z = (a.mean(axis=0) - b.mean(axis=0)) / se
+            assert np.abs(z).max() <= 4.0
+
+    def test_replica_path_independent_of_company_and_block(self):
+        p = RtpParams(omega=25.0, length_L=1.0)
+        t_grid = np.linspace(0.0, 2.0, 12)
+        together = rtp_grid_positions(p, t_grid, RngStream(3).split(20))
+        alone = rtp_grid_positions(p, t_grid, RngStream(3).split(20)[7:8])
+        small_blocks = rtp_grid_positions(p, t_grid, RngStream(3).split(20), block=7)
+        assert together.shape == (20, 12)
+        assert np.array_equal(together[7], alone[0])
+        assert np.array_equal(together, small_blocks)
+
+    @pytest.mark.parametrize("omega, L", [(0.01, 1.0), (1.0, 2.0), (200.0, 0.1)])
+    def test_positions_in_box_and_rerun_identical(self, omega, L):
+        p = RtpParams(omega=omega, length_L=L)
+        t_grid = np.linspace(0.0, 5.0, 12)
+        a = rtp_grid_positions(p, t_grid, RngStream(11).split(50))
+        b = rtp_grid_positions(p, t_grid, RngStream(11).split(50))
+        assert a.min() >= 0.0 and a.max() <= L
+        assert np.array_equal(a, b)
+
+    def test_grid_validated(self):
+        p = RtpParams(omega=1.0, length_L=1.0)
+        with pytest.raises(InvalidParameter, match="non-decreasing"):
+            rtp_grid_positions(p, [0.0, 2.0, 1.0], RngStream(0).split(2))
+        with pytest.raises(InvalidParameter, match="block=0"):
+            rtp_grid_positions(p, [0.0, 1.0], RngStream(0).split(2), block=0)
 
 
 class TestZigzag:
@@ -304,12 +377,15 @@ class TestDiagnostics:
                 s = -s
             return out
 
-        nu = empirical_decay_rate(run_flip, 4000, np.linspace(0, 1.5, 12), RngStream(9))
+        def run_all(streams, t_grid):
+            return [run_flip(s, t_grid) for s in streams]
+
+        nu = empirical_decay_rate(run_all, 4000, np.linspace(0, 1.5, 12), RngStream(9))
         assert nu == pytest.approx(2.0, rel=0.1)
 
     def test_noise_floor_raised_for_pure_noise(self):
-        def run_noise(stream, t_grid):
-            return stream.gaussian(size=len(t_grid))
+        def run_noise(streams, t_grid):
+            return [s.gaussian(size=len(t_grid)) for s in streams]
 
         with pytest.raises(NumericalFailure, match="above the noise floor"):
             empirical_decay_rate(run_noise, 100, np.linspace(0.5, 5.0, 10), RngStream(3))

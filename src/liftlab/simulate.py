@@ -220,12 +220,17 @@ def rtp_stationary_state(params: RtpParams, rng: RngStream):
     return x, (2, 0, -2)[k - 4]
 
 
-def rtp_grid_positions(params: RtpParams, t_grid, streams, block: int = 1024) -> np.ndarray:
+# holding times and tumble signs drawn per replica at a time; a few MB
+# for hundreds of replicas
+_RTP_BLOCK = 1024
+
+
+def rtp_grid_positions(params: RtpParams, t_grid, streams) -> np.ndarray:
     """Positions of stationary RTP replicas at the grid times, in lockstep.
 
     Replica i starts from :func:`rtp_stationary_state` drawn from
     ``streams[i]``; its holding times (exponential, rate 2 omega) and
-    tumble signs then come ``block`` values at a time from two separate
+    tumble signs then come ``_RTP_BLOCK`` values at a time from two separate
     children of that stream, so no value depends on the block size or on
     the other replicas.  All replicas advance together over the event
     index: each grid time in the holding interval [t, t + tau) reads
@@ -238,10 +243,8 @@ def rtp_grid_positions(params: RtpParams, t_grid, streams, block: int = 1024) ->
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size == 0:
         raise InvalidParameter("t_grid must be a non-empty 1-D array")
-    if t_grid[0] < 0.0 or (np.diff(t_grid) < 0.0).any():
-        raise InvalidParameter("t_grid must be non-negative and non-decreasing")
-    if block < 1:
-        raise InvalidParameter(f"block={block} must be >= 1")
+    if not np.isfinite(t_grid).all() or t_grid[0] < 0.0 or (np.diff(t_grid) < 0.0).any():
+        raise InvalidParameter("t_grid must be finite, non-negative and non-decreasing")
     rate, L = 2.0 * params.omega, params.length_L
     n, n_t = len(streams), t_grid.size
     x, v = np.zeros(n), np.zeros(n)
@@ -255,8 +258,8 @@ def rtp_grid_positions(params: RtpParams, t_grid, streams, block: int = 1024) ->
     grid_ext = np.append(t_grid, np.inf)
     t_read = grid_ext[nxt]
     while (nxt < n_t).any():
-        taus = np.stack([hold.exponential(rate, size=block) for hold, _ in children], axis=1)
-        signs = np.stack([tumble.uniform(size=block) for _, tumble in children], axis=1)
+        taus = np.stack([hold.exponential(rate, size=_RTP_BLOCK) for hold, _ in children], axis=1)
+        signs = np.stack([tumble.uniform(size=_RTP_BLOCK) for _, tumble in children], axis=1)
         signs = np.where(signs < 0.5, 2.0, -2.0)
         for tau, sign in zip(taus, signs):
             t_next = t + tau

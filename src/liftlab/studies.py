@@ -11,8 +11,6 @@ the configuration hash.
 
 from __future__ import annotations
 
-from functools import partial
-
 import numpy as np
 
 from . import __version__
@@ -201,9 +199,9 @@ def _zigzag_discrete_nu(m: float, gamma: float, n_interior: int):
     return spectral_gap(split.full)
 
 
-def _gaussian_sim_nu(process: str, m: float, gamma: float, seed: int, n_replicas: int):
+def _gaussian_sim_nu(sample, m: float, gamma: float, seed: int, n_replicas: int):
     # one event-driven trajectory per replica stream, started from the
-    # Gaussian target N(0, 1/m); "zigzag" or "forward" picks the sampler
+    # Gaussian target N(0, 1/m); sample(U, gamma, x0, t_end, stream) draws it
     U = quadratic_potential([m])
 
     def run(streams, t_grid):
@@ -211,10 +209,7 @@ def _gaussian_sim_nu(process: str, m: float, gamma: float, seed: int, n_replicas
         Y = np.empty((len(streams), t_grid.size))
         for i, stream in enumerate(streams):
             x0 = stream.gaussian(sd=1.0 / np.sqrt(m), size=1)
-            if process == "zigzag":
-                traj = simulate_zigzag(U, "hypercube", gamma, x0, t_end, stream)
-            else:
-                traj = simulate_forward(U, gamma, x0, t_end, stream)
+            traj = sample(U, gamma, x0, t_end, stream)
             Y[i] = traj.sample_path(t_grid)[0][:, 0]
         return Y
 
@@ -223,10 +218,16 @@ def _gaussian_sim_nu(process: str, m: float, gamma: float, seed: int, n_replicas
     return empirical_decay_rate(run, n_replicas, t_grid, RngStream(seed))
 
 
+def _zigzag_sample(U, gamma, x0, t_end, stream):
+    return simulate_zigzag(U, "hypercube", gamma, x0, t_end, stream)
+
+
+# process -> (rate-formula family, event-driven sampler; None for the
+# spectral rate of the discretized generator)
 _GAMMA_PROCESSES = {
-    "zigzag_1d_discrete": ("zigzag_hypercube", _zigzag_discrete_nu),
-    "zigzag_sim": ("zigzag_hypercube", partial(_gaussian_sim_nu, "zigzag")),
-    "forward_sim": ("forward", partial(_gaussian_sim_nu, "forward")),
+    "zigzag_1d_discrete": ("zigzag_hypercube", None),
+    "zigzag_sim": ("zigzag_hypercube", _zigzag_sample),
+    "forward_sim": ("forward", simulate_forward),
 }
 
 
@@ -250,7 +251,7 @@ def gamma_study(
         raise InvalidParameter(
             f"process {process!r} not in {sorted(_GAMMA_PROCESSES)}"
         )
-    process_id, runner = _GAMMA_PROCESSES[process]
+    process_id, sample = _GAMMA_PROCESSES[process]
     gammas = sorted(float(g) for g in gamma_grid)
     config = {
         "study": "gamma",
@@ -264,10 +265,10 @@ def gamma_study(
     U = quadratic_potential([m])
     rows = []
     for i, gamma in enumerate(gammas):
-        if process == "zigzag_1d_discrete":
-            nu = runner(m, gamma, n_grid)
+        if sample is None:
+            nu = _zigzag_discrete_nu(m, gamma, n_grid)
         else:
-            nu = runner(m, gamma, seed + i, n_replicas)
+            nu = _gaussian_sim_nu(sample, m, gamma, seed + i, n_replicas)
         consts = assumption_constants(process_id, m, gamma, potential=U)
         rows.append(
             {"gamma": gamma, "nu_hat": nu, "nu_formula": rate_formula(consts)}

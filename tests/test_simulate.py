@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+import liftlab.simulate
 from liftlab.core import RngStream, make_grid, quadratic_potential
 from liftlab.errors import InvalidParameter, NumericalFailure
 from liftlab.generators import RtpParams
@@ -205,12 +206,13 @@ class TestRtpGridPositions:
             z = (a.mean(axis=0) - b.mean(axis=0)) / se
             assert np.abs(z).max() <= 4.0
 
-    def test_replica_path_independent_of_company_and_block(self):
+    def test_replica_path_independent_of_company_and_block(self, monkeypatch):
         p = RtpParams(omega=25.0, length_L=1.0)
         t_grid = np.linspace(0.0, 2.0, 12)
         together = rtp_grid_positions(p, t_grid, RngStream(3).split(20))
         alone = rtp_grid_positions(p, t_grid, RngStream(3).split(20)[7:8])
-        small_blocks = rtp_grid_positions(p, t_grid, RngStream(3).split(20), block=7)
+        monkeypatch.setattr(liftlab.simulate, "_RTP_BLOCK", 7)
+        small_blocks = rtp_grid_positions(p, t_grid, RngStream(3).split(20))
         assert together.shape == (20, 12)
         assert np.array_equal(together[7], alone[0])
         assert np.array_equal(together, small_blocks)
@@ -228,8 +230,9 @@ class TestRtpGridPositions:
         p = RtpParams(omega=1.0, length_L=1.0)
         with pytest.raises(InvalidParameter, match="non-decreasing"):
             rtp_grid_positions(p, [0.0, 2.0, 1.0], RngStream(0).split(2))
-        with pytest.raises(InvalidParameter, match="block=0"):
-            rtp_grid_positions(p, [0.0, 1.0], RngStream(0).split(2), block=0)
+        for bad in ([0.0, np.nan], [0.0, np.inf]):
+            with pytest.raises(InvalidParameter, match="finite"):
+                rtp_grid_positions(p, bad, RngStream(0).split(2))
 
 
 class TestZigzag:
